@@ -2,8 +2,10 @@
 
 Mean query times (Table VI) hide the tail: index-assisted methods are
 bimodal — label-only answers are fast, fallback traversals are slow.
-This measures p50/p99 simulated latency for the 2-hop index (collected
-and sharded), BFL, GRAIL, and online search on the medium graphs.
+This measures p50/p99 simulated latency for the 2-hop index (collected,
+and left sharded over 32 shards with queries routed to the home shard
+of ``s``), BFL, GRAIL, and online search on the medium graphs.  Each
+backend is called directly: a per-query cost table needs no server.
 """
 
 from __future__ import annotations
@@ -12,17 +14,17 @@ from conftest import FIG_DATASETS, save_and_print
 
 from repro.baselines.bfl import build_bfl
 from repro.baselines.grail import build_grail
+from repro.baselines.online import OnlineSearcher
 from repro.bench.results import ExperimentTable
 from repro.core.build import build_index
 from repro.pregel.cost_model import paper_scale_model
-from repro.query import (
-    BflBackend,
-    DistributedIndexBackend,
-    GrailBackend,
+from repro.serve import (
     IndexBackend,
-    OnlineBackend,
-    QueryService,
+    MeteredBackend,
+    ShardedIndexBackend,
+    ShardedLabelStore,
 )
+from repro.telemetry.metrics import nearest_rank_percentile
 from repro.workloads.datasets import MEDIUM_DATASETS, get_dataset
 from repro.workloads.queries import random_pairs
 
@@ -30,30 +32,30 @@ from repro.workloads.queries import random_pairs
 def _run():
     names = MEDIUM_DATASETS if FIG_DATASETS is None else FIG_DATASETS
     cost_model = paper_scale_model(time_limit_seconds=None)
-    backends = ("index", "sharded index", "BFL", "GRAIL", "online")
+    columns = ["index", "sharded index", "BFL", "GRAIL", "online"]
     p50 = ExperimentTable(
-        "Query latency p50 (simulated s)", list(backends), scientific=True
+        "Query latency p50 (simulated s)", columns, scientific=True
     )
     p99 = ExperimentTable(
-        "Query latency p99 (simulated s)", list(backends), scientific=True
+        "Query latency p99 (simulated s)", columns, scientific=True
     )
     for name in names:
         graph = get_dataset(name).load()
         pairs = random_pairs(graph.num_vertices, 600, seed=17)
         index = build_index(graph, cost_model=cost_model).index
-        services = {
-            "index": QueryService(IndexBackend(index, cost_model)),
-            "sharded index": QueryService(
-                DistributedIndexBackend(index, num_nodes=32, cost_model=cost_model)
+        backends = {
+            "index": IndexBackend(index, cost_model),
+            "sharded index": ShardedIndexBackend(
+                ShardedLabelStore(index, num_shards=32, cost_model=cost_model)
             ),
-            "BFL": QueryService(BflBackend(build_bfl(graph), cost_model)),
-            "GRAIL": QueryService(GrailBackend(build_grail(graph), cost_model)),
-            "online": QueryService(OnlineBackend(graph, cost_model)),
+            "BFL": MeteredBackend(build_bfl(graph), cost_model),
+            "GRAIL": MeteredBackend(build_grail(graph), cost_model),
+            "online": OnlineSearcher(graph, cost_model),
         }
-        for label, service in services.items():
-            report = service.evaluate(pairs)
-            p50.set(name, label, report.p50_seconds)
-            p99.set(name, label, report.p99_seconds)
+        for label, backend in backends.items():
+            latencies = sorted(backend.query_with_cost(s, t)[1] for s, t in pairs)
+            p50.set(name, label, nearest_rank_percentile(latencies, 0.50))
+            p99.set(name, label, nearest_rank_percentile(latencies, 0.99))
     return p50, p99
 
 

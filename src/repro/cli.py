@@ -690,11 +690,14 @@ def _parse_pairs_file(path: Path) -> tuple[list[tuple[int, int]], int]:
     """Parse a whitespace-separated pairs file, skipping bad lines.
 
     Returns ``(pairs, skipped)``; each malformed line (fewer than two
-    columns, or non-integer tokens) is reported to stderr.
+    columns, or non-integer tokens) is reported to stderr.  A file that
+    cannot be read as UTF-8 text raises ``OSError`` or
+    ``UnicodeDecodeError`` before anything is reported.
     """
     pairs: list[tuple[int, int]] = []
     skipped = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -719,7 +722,7 @@ def _parse_pairs_file(path: Path) -> tuple[list[tuple[int, int]], int]:
 
 
 def _cmd_query(args) -> int:
-    from repro.query.service import IndexBackend, QueryService
+    from repro.serve import AuditingBackend, IndexBackend, QueryServer
 
     if not args.index.exists():
         print(f"error: no such file: {args.index}", file=sys.stderr)
@@ -727,18 +730,33 @@ def _cmd_query(args) -> int:
     index = ReachabilityIndex.load(args.index)
     skipped = 0
     if args.pairs is not None:
-        pairs, skipped = _parse_pairs_file(args.pairs)
+        try:
+            pairs, skipped = _parse_pairs_file(args.pairs)
+        except OSError as exc:
+            print(f"error: cannot read {args.pairs}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.pairs} is not UTF-8 text "
+                  f"(byte {exc.start}: {exc.reason})", file=sys.stderr)
+            return 2
     elif args.source is not None and args.target is not None:
         pairs = [(args.source, args.target)]
     else:
         print("error: give SOURCE TARGET or --pairs FILE", file=sys.stderr)
         return 2
-    service = QueryService(IndexBackend(index))
+    n = index.num_vertices
+    in_range = [(s, t) for s, t in pairs if 0 <= s < n and 0 <= t < n]
+    # One client serves the pairs in input order; the auditor keeps
+    # each answer the server returned.
+    auditor = AuditingBackend(IndexBackend(index), lambda: 0)
+    QueryServer(auditor).run_closed(in_range, clients=1)
+    answers = iter(record[3] for record in auditor.records)
     for s, t in pairs:
-        if not (0 <= s < index.num_vertices and 0 <= t < index.num_vertices):
+        if not (0 <= s < n and 0 <= t < n):
             print(f"{s} {t} out-of-range")
             continue
-        print(f"{s} {t} {'reachable' if service.query(s, t) else 'unreachable'}")
+        print(f"{s} {t} {'reachable' if next(answers) else 'unreachable'}")
     if skipped:
         print(f"warning: skipped {skipped} malformed line(s)", file=sys.stderr)
         return 1

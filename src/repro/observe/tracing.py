@@ -22,9 +22,9 @@ argument through every backend: the server sets :data:`ACTIVE` around
 the backend call (:func:`begin_request` / :func:`end_request`), and
 instrumented components (:class:`~repro.serve.cache.CachingBackend`,
 :class:`~repro.serve.store.ShardedLabelStore`,
-:class:`~repro.query.service.FallbackBackend`) append their stage to
+:class:`~repro.serve.backends.FallbackBackend`) append their stage to
 whatever request is active.  When no request is active — tracing off,
-or a bare :class:`~repro.query.service.QueryService` — the cost is one
+or a backend called outside the server — the cost is one
 module-attribute read and a ``None`` check.
 """
 

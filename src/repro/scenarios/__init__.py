@@ -20,7 +20,6 @@ burst, and a cache stampede after invalidation.
 """
 
 from repro.scenarios.runner import (
-    AuditingBackend,
     ExpectationCheck,
     ScenarioResult,
     run_scenario,
@@ -44,7 +43,6 @@ from repro.scenarios.spec import (
 
 __all__ = [
     "ARRIVAL_SHAPES",
-    "AuditingBackend",
     "EXPECTATIONS",
     "ExpectationCheck",
     "GraphSpec",

@@ -30,6 +30,7 @@ from repro.graph.partition import PARTITIONER_STRATEGIES
 from repro.observe.incident import FlightRecorder, TriggerEngine
 from repro.observe.slo import SLOSpec
 from repro.scenarios.spec import ScenarioSpec, load_scenario
+from repro.serve.backends import AuditingBackend
 from repro.serve.cache import CachingBackend, QueryCache
 from repro.serve.mutation import MutationBackend
 from repro.serve.faults import ServeFaultInjector
@@ -53,27 +54,6 @@ def _apply_update(dynamic, op: str, u: int, v: int) -> None:
         dynamic.promote(u, None if v < 0 else v)
     else:
         raise ValueError(f"unknown update op {op!r}")
-
-
-class AuditingBackend:
-    """Records ``(version, s, t, answer)`` for every served query.
-
-    Wraps the outermost backend so whatever answer the server is about
-    to return — cached, replicated, confirmed, anything — is what gets
-    audited.  ``version_of()`` reports the leader index's current
-    update count, so the post-run oracle knows exactly which graph each
-    answer was served against.
-    """
-
-    def __init__(self, inner, version_of):
-        self.inner = inner
-        self._version_of = version_of
-        self.records: list[tuple[int, int, int, bool]] = []
-
-    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        answer, seconds = self.inner.query_with_cost(s, t)
-        self.records.append((self._version_of(), s, t, answer))
-        return answer, seconds
 
 
 @dataclass

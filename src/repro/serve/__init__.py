@@ -1,12 +1,18 @@
 """``repro.serve`` — the high-throughput query-serving layer.
 
-The paper builds the index; this subsystem *serves* it, at the scale
-the ROADMAP's north star asks for.  Four pieces, bottom to top:
+The paper builds the index; this subsystem *serves* it, and
+:class:`QueryServer` is its one query front end.  The pieces, bottom
+to top:
 
-- :mod:`~repro.serve.store` — ``L_in``/``L_out`` sharded across N
-  shards via the :mod:`repro.graph.partition` partitioners, with
-  per-shard memory accounting and cross-shard fetch costs charged
+- :mod:`~repro.serve.store` — the 2-hop label views: the collected
+  index (:class:`IndexBackend`, §III-D) and ``L_in``/``L_out`` sharded
+  across N shards via the :mod:`repro.graph.partition` partitioners,
+  with per-shard memory accounting and cross-shard fetch costs charged
   through the :class:`~repro.pregel.cost_model.CostModel`;
+- :mod:`~repro.serve.backends` — the :class:`QueryBackend` protocol
+  and the adapters that are not label views: metered BFL/GRAIL
+  queries, the online-BFS :class:`FallbackBackend`, and the
+  answer-recording :class:`AuditingBackend`;
 - :mod:`~repro.serve.cache` — an LRU result cache (optional negative
   caching) whose invalidation hooks subscribe to
   :class:`~repro.core.dynamic.DynamicReachabilityIndex` updates, so
@@ -25,7 +31,7 @@ the ROADMAP's north star asks for.  Four pieces, bottom to top:
 - :mod:`~repro.serve.pipeline` — the serving loop: bounded admission
   queue (overflow sheds), request batching, deadline drops, mixed
   read/write runs (:meth:`QueryServer.run_mixed`), and graceful
-  degradation via :class:`~repro.query.service.FallbackBackend`;
+  degradation via :class:`FallbackBackend`;
 - :mod:`~repro.serve.bench` — the ``repro serve-bench`` runner that
   replays a Zipf/Poisson workload cached and uncached and renders one
   baseline-gateable table.
@@ -34,6 +40,12 @@ Architecture, the degradation ladder, and a metrics glossary live in
 ``docs/serving.md``.
 """
 
+from repro.serve.backends import (
+    AuditingBackend,
+    FallbackBackend,
+    MeteredBackend,
+    QueryBackend,
+)
 from repro.serve.bench import (
     COLUMNS,
     MIXED_COLUMNS,
@@ -60,17 +72,27 @@ from repro.serve.replica import (
     ReplicaState,
     ReplicatedLabelStore,
 )
-from repro.serve.store import LabelShard, ShardedIndexBackend, ShardedLabelStore
+from repro.serve.store import (
+    IndexBackend,
+    LabelShard,
+    ShardedIndexBackend,
+    ShardedLabelStore,
+)
 
 __all__ = [
+    "AuditingBackend",
     "BoundedStalenessReplicator",
     "COLUMNS",
     "MIXED_COLUMNS",
     "MUTATION_OPS",
     "MutationBackend",
     "CachingBackend",
+    "FallbackBackend",
     "HealthPolicy",
+    "IndexBackend",
     "LabelShard",
+    "MeteredBackend",
+    "QueryBackend",
     "QueryCache",
     "QueryServer",
     "READ_POLICIES",

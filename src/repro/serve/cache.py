@@ -130,7 +130,7 @@ class QueryCache:
 
 
 class CachingBackend:
-    """Wrap any :class:`~repro.query.service.QueryBackend` in a cache.
+    """Wrap any :class:`~repro.serve.backends.QueryBackend` in a cache.
 
     A hit costs one table probe (``t_op``); a miss pays the probe plus
     the inner backend's full cost, then fills the cache.

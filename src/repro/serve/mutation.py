@@ -6,7 +6,7 @@ absorb updates; this module puts that on the serve path.  A
 :class:`MutationBackend` wraps the leader
 :class:`~repro.core.dynamic.DynamicReachabilityIndex` and gives writes
 the same simulated-cost contract reads have
-(:meth:`~repro.query.service.QueryBackend.query_with_cost`), so
+(:meth:`~repro.serve.backends.QueryBackend.query_with_cost`), so
 :class:`~repro.serve.pipeline.QueryServer` can interleave them through
 the one admission queue: writes share queue capacity with reads, get
 shed under overload, appear in traces (a ``mutation`` stage) and in

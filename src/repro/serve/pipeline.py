@@ -1,10 +1,11 @@
 """The request pipeline: admission control, batching, deadlines.
 
-A batch evaluator (:class:`~repro.query.service.QueryService`) answers
-every query it is handed, however long that takes.  A *server* cannot:
-requests arrive on their own schedule, queues are finite, and a late
-answer is often worth nothing.  :class:`QueryServer` runs the serving
-loop on the simulated clock:
+:class:`QueryServer` is the one query front end: every caller that
+answers ``q(s, t)`` through a backend — ``repro query``, the serve
+benchmark, the scenarios — goes through it.  A server cannot answer
+every query whenever it gets round to it: requests arrive on their own
+schedule, queues are finite, and a late answer is often worth nothing.
+:class:`QueryServer` runs the serving loop on the simulated clock:
 
 1. **Admission** — arrivals enter a bounded FIFO queue; when it is
    full the request is **shed** immediately (counted, never served).
@@ -19,7 +20,7 @@ loop on the simulated clock:
    from sheds): serving it would waste capacity on an answer the
    client stopped waiting for.
 4. **Degradation** — the backend can be a
-   :class:`~repro.query.service.FallbackBackend`, so a cluster whose
+   :class:`~repro.serve.backends.FallbackBackend`, so a cluster whose
    index build died keeps answering (slower, via online BFS) while
    admission control keeps the queue bounded.  The full ladder is
    documented in ``docs/serving.md``.
@@ -52,14 +53,7 @@ from repro.telemetry import (
     trace_event,
     trace_span,
 )
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile on a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
-    return sorted_values[rank]
+from repro.telemetry.metrics import nearest_rank_percentile
 
 
 @dataclass(frozen=True)
@@ -206,7 +200,7 @@ class QueryServer:
     Parameters
     ----------
     backend:
-        Any :class:`~repro.query.service.QueryBackend`; typically a
+        Any :class:`~repro.serve.backends.QueryBackend`; typically a
         :class:`~repro.serve.CachingBackend` over a
         :class:`~repro.serve.ShardedIndexBackend`.
     queue_depth:
@@ -625,9 +619,9 @@ class QueryServer:
             queue_peak=queue_peak,
             makespan_seconds=clock,
             mean_seconds=sum(latencies) / len(latencies) if latencies else 0.0,
-            p50_seconds=_percentile(latencies, 0.50),
-            p99_seconds=_percentile(latencies, 0.99),
-            p999_seconds=_percentile(latencies, 0.999),
+            p50_seconds=nearest_rank_percentile(latencies, 0.50),
+            p99_seconds=nearest_rank_percentile(latencies, 0.99),
+            p999_seconds=nearest_rank_percentile(latencies, 0.999),
             max_seconds=latencies[-1] if latencies else 0.0,
             failed=failed,
             mutations_offered=mutations_offered,
@@ -635,8 +629,8 @@ class QueryServer:
             mutations_noop=mut_noop,
             mutations_rejected=mut_rejected,
             mutations_shed=mut_shed,
-            mutation_p50_seconds=_percentile(write_latencies, 0.50),
-            mutation_p99_seconds=_percentile(write_latencies, 0.99),
+            mutation_p50_seconds=nearest_rank_percentile(write_latencies, 0.50),
+            mutation_p99_seconds=nearest_rank_percentile(write_latencies, 0.99),
             mutation_max_seconds=write_latencies[-1] if write_latencies else 0.0,
             staleness_window_seconds=staleness,
             **self._backend_stats(),

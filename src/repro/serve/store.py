@@ -47,7 +47,26 @@ class LabelShard:
         return self.entries * entry_bytes
 
 
-class ShardedLabelStore:
+class _LabelAccess:
+    """Reads ``self._index``'s labels, whichever index kind it is.
+
+    :class:`~repro.core.labels.ReachabilityIndex` exposes
+    ``out_labels(v)``/``in_labels(v)`` methods; a live
+    :class:`~repro.core.dynamic.DynamicReachabilityIndex` exposes plain
+    lists of sets.  The store and :class:`IndexBackend` both read
+    through here, so updates to a dynamic index are visible at once.
+    """
+
+    def _out_labels(self, v: int):
+        out = self._index.out_labels
+        return out[v] if isinstance(out, list) else out(v)
+
+    def _in_labels(self, v: int):
+        labels = self._index.in_labels
+        return labels[v] if isinstance(labels, list) else labels(v)
+
+
+class ShardedLabelStore(_LabelAccess):
     """``L_in``/``L_out`` partitioned across shards, with fetch costs.
 
     Parameters
@@ -107,15 +126,6 @@ class ShardedLabelStore:
                     entries=shard.entries,
                 )
 
-    # -- label access (works for ReachabilityIndex and the dynamic index)
-    def _out_labels(self, v: int):
-        out = self._index.out_labels
-        return out[v] if isinstance(out, list) else out(v)
-
-    def _in_labels(self, v: int):
-        labels = self._index.in_labels
-        return labels[v] if isinstance(labels, list) else labels(v)
-
     @property
     def num_vertices(self) -> int:
         """Vertices covered by the store."""
@@ -149,7 +159,7 @@ class ShardedLabelStore:
         on ``s``): ``L_out(s)`` is local, and when ``t`` lives on a
         different shard ``L_in(t)`` costs one serialized hop plus its
         entry bytes.  The sorted-merge itself is charged per entry
-        compared, as in :class:`~repro.query.service.IndexBackend`.
+        compared, as in :class:`IndexBackend`.
         """
         cost = self._cost
         out_labels = self._out_labels(s)
@@ -170,11 +180,14 @@ class ShardedLabelStore:
 
 
 class ShardedIndexBackend:
-    """:class:`~repro.query.service.QueryBackend` view of a store.
+    """:class:`~repro.serve.backends.QueryBackend` view of a store.
 
     Makes the store pluggable anywhere a backend is expected — the
-    request pipeline, :class:`~repro.query.service.QueryService`, or a
-    :class:`~repro.query.service.FallbackBackend` primary.
+    request pipeline, a :class:`~repro.serve.cache.CachingBackend`, or
+    a :class:`~repro.serve.backends.FallbackBackend` primary.  With
+    ``num_shards=k`` it is the labels-left-sharded alternative to
+    collecting the index on one machine; with one shard it charges
+    exactly what :class:`IndexBackend` does.
     """
 
     def __init__(self, store: ShardedLabelStore):
@@ -187,3 +200,21 @@ class ShardedIndexBackend:
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
         return self._store.fetch(s, t)
+
+
+class IndexBackend(_LabelAccess):
+    """The collected 2-hop index (§III-D): one sorted merge per query.
+
+    Serves a finished :class:`~repro.core.labels.ReachabilityIndex` or
+    a live :class:`~repro.core.dynamic.DynamicReachabilityIndex`, whose
+    answers and costs then track every applied update.  The charge is
+    one ``t_op`` per label entry compared, plus one.
+    """
+
+    def __init__(self, index, cost_model: CostModel | None = None):
+        self._index = index
+        self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
+
+    def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
+        units = len(self._out_labels(s)) + len(self._in_labels(t)) + 1
+        return self._index.query(s, t), units * self._t_op

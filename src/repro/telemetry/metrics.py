@@ -40,6 +40,21 @@ LATENCY_BUCKETS = exponential_buckets(1e-8, 10 ** 0.5, 16)
 ACTIVE_VERTEX_BUCKETS = exponential_buckets(1, 4, 16)
 
 
+def nearest_rank_percentile(
+    sorted_values: Sequence[float], fraction: float
+) -> float:
+    """Nearest-rank percentile on a pre-sorted list of raw values.
+
+    The rank is ``round(fraction · (n - 1))`` clamped to the list, so
+    a half-way rank rounds half to even; an empty list gives 0.0.
+    :func:`bucket_percentile` is the estimate for bucketed data.
+    """
+    if not sorted_values:
+        return 0.0
+    last = len(sorted_values) - 1
+    return sorted_values[max(0, min(last, round(fraction * last)))]
+
+
 def bucket_percentile(
     buckets: Sequence[float],
     counts: Sequence[int],

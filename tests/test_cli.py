@@ -104,6 +104,26 @@ def test_query_missing_index(tmp_path, capsys):
     assert main(["query", str(tmp_path / "missing.idx"), "0", "1"]) == 2
 
 
+def test_query_missing_pairs_file_fails_closed(tmp_path, index_file, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["query", str(index_file), "--pairs", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "missing.txt" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_query_non_utf8_pairs_file_fails_closed(tmp_path, index_file, capsys):
+    pairs = tmp_path / "pairs.bin"
+    pairs.write_bytes(b"0 1\n\xff\xfe 2\n")
+    assert main(["query", str(index_file), "--pairs", str(pairs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "not UTF-8" in captured.err
+    assert captured.out == ""
+
+
 def test_info_missing_index(tmp_path):
     assert main(["info", str(tmp_path / "missing.idx")]) == 2
 
@@ -186,7 +206,7 @@ def test_query_verbose_logs_telemetry(index_file, capsys):
     captured = capsys.readouterr()
     assert "0 0 reachable" in captured.out
     assert "span cli.query" in captured.err
-    assert "metric query.count=1" in captured.err
+    assert "metric serve.served=1" in captured.err
 
 
 def test_bench_fig5_trace_out_reproduces_table(tmp_path, capsys):

@@ -7,9 +7,9 @@ from repro.graph.generators import social_graph
 from repro.observe import tracing
 from repro.observe.tracing import RequestTrace, TraceIdGenerator
 from repro.pregel.cost_model import CostModel
-from repro.query import FallbackBackend
 from repro.serve import (
     CachingBackend,
+    FallbackBackend,
     QueryServer,
     ShardedIndexBackend,
     ShardedLabelStore,

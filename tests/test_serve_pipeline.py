@@ -7,9 +7,9 @@ from repro.core.build import build_index
 from repro.graph.generators import social_graph
 from repro.pregel.cost_model import CostModel
 from repro.errors import ShardUnavailableError
-from repro.query import FallbackBackend
 from repro.serve import (
     CachingBackend,
+    FallbackBackend,
     QueryCache,
     QueryServer,
     ShardedIndexBackend,

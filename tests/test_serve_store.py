@@ -12,8 +12,12 @@ from repro.graph.partition import (
     RangePartitioner,
 )
 from repro.pregel.cost_model import CostModel
-from repro.query import FallbackBackend, QueryService
-from repro.serve import ShardedIndexBackend, ShardedLabelStore
+from repro.serve import (
+    FallbackBackend,
+    QueryServer,
+    ShardedIndexBackend,
+    ShardedLabelStore,
+)
 from repro.workloads.queries import random_pairs
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -121,11 +125,11 @@ def test_backend_protocol_and_service_integration(graph, index):
     backend = ShardedIndexBackend(
         ShardedLabelStore(index, num_shards=4, cost_model=_NO_LIMIT)
     )
-    report = QueryService(backend).evaluate(
+    report = QueryServer(backend, cost_model=_NO_LIMIT).run_closed(
         random_pairs(graph.num_vertices, 100, seed=1)
     )
-    assert report.count == 100
-    assert report.total_seconds > 0
+    assert report.served == 100
+    assert report.makespan_seconds > 0
     assert backend.store.shard_loads() != [0, 0, 0, 0]
 
 

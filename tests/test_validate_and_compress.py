@@ -14,7 +14,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import random_digraph, social_graph
 from repro.graph.order import degree_order
 from repro.pregel.cost_model import CostModel
-from repro.query import DistributedIndexBackend, IndexBackend, QueryService
+from repro.serve import IndexBackend, ShardedIndexBackend, ShardedLabelStore
 from tests.conftest import digraphs
 
 _NO_LIMIT = CostModel(time_limit_seconds=None)
@@ -218,28 +218,34 @@ def test_inverted_lists_small_relative_to_vertex_count():
 
 
 # ----------------------------------------------------------------------
-# Distributed index backend
+# Distributed (labels left sharded) index backend
 # ----------------------------------------------------------------------
+def _sharded(index, num_shards):
+    return ShardedIndexBackend(
+        ShardedLabelStore(index, num_shards=num_shards, cost_model=_NO_LIMIT)
+    )
+
+
 def test_distributed_backend_same_answers_higher_cost():
     g = social_graph(300, seed=8)
     index = build_index(g, cost_model=_NO_LIMIT).index
-    local = QueryService(IndexBackend(index, _NO_LIMIT))
-    remote = QueryService(
-        DistributedIndexBackend(index, num_nodes=16, cost_model=_NO_LIMIT)
-    )
+    local = IndexBackend(index, _NO_LIMIT)
+    remote = _sharded(index, 16)
     from repro.workloads.queries import random_pairs
 
     pairs = random_pairs(g.num_vertices, 200, seed=9)
-    local_report = local.evaluate(pairs)
-    remote_report = remote.evaluate(pairs)
-    assert local_report.positives == remote_report.positives
-    assert remote_report.mean_seconds > local_report.mean_seconds
+    local_results = [local.query_with_cost(s, t) for s, t in pairs]
+    remote_results = [remote.query_with_cost(s, t) for s, t in pairs]
+    assert [a for a, _ in local_results] == [a for a, _ in remote_results]
+    local_mean = sum(c for _, c in local_results) / len(pairs)
+    remote_mean = sum(c for _, c in remote_results) / len(pairs)
+    assert remote_mean > local_mean
 
 
 def test_distributed_backend_single_node_costs_like_local():
     g = social_graph(200, seed=10)
     index = build_index(g, cost_model=_NO_LIMIT).index
-    backend = DistributedIndexBackend(index, num_nodes=1, cost_model=_NO_LIMIT)
-    answer, seconds = backend.query_with_cost(0, 100)
-    _expected, local_seconds = IndexBackend(index, _NO_LIMIT).query_with_cost(0, 100)
+    answer, seconds = _sharded(index, 1).query_with_cost(0, 100)
+    expected, local_seconds = IndexBackend(index, _NO_LIMIT).query_with_cost(0, 100)
+    assert answer == expected
     assert seconds == pytest.approx(local_seconds)
