@@ -1,37 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-- ``datasets`` — list the Table V dataset stand-ins.
-- ``generate`` — write a synthetic graph as an edge list.
-- ``build`` — build a reachability index from an edge list.
-- ``query`` — answer reachability queries from a saved index.
-- ``info`` — describe a saved index.
-- ``bench`` — run one paper experiment and print its table(s); with
-  ``--save-baseline`` / ``--check-baseline`` it doubles as the perf
-  regression gate (see ``benchmarks/baselines/``).
-- ``serve-bench`` — benchmark the query-serving layer: sharded labels,
-  query cache on/off, admission control under a Zipf/Poisson workload;
-  supports the same baseline gate flags (see ``docs/serving.md``).
-- ``scenario`` — list (``scenario list``) and run (``scenario run``)
-  declarative serving scenarios: traffic shape + fault schedule +
-  replication config + expected-result assertions, graded against the
-  run (see ``docs/api.md``, "Scenario format").
-- ``fuzz`` — differential fuzzing of the index builders against the
-  oracle matrix, with failure shrinking and ``--replay`` of saved
-  repros (see ``docs/paper_mapping.md``, "Fuzzing oracles").
-- ``trace`` — summarize a JSONL telemetry trace; ``--slowest N`` and
-  ``--trace-id ID`` drill into per-request traces.
-- ``top`` — live serving dashboard over a trace's ``serve.request``
-  events (``--once --json`` for scripting, ``--slo`` for burn-rate
-  alerts).
-- ``profile`` — skew/straggler analysis of a JSONL trace, with
-  optional Chrome-trace (Perfetto) and flamegraph export.
+``docs/api.md`` ("Command line") lists every subcommand and its flags;
+``docs/observability.md`` covers ``--trace-out`` and ``--verbose``.
 
-``build``, ``query``, ``bench``, and ``serve-bench`` accept
-``--trace-out PATH`` (export
-spans/events/metrics as JSONL) and ``--verbose`` (mirror telemetry to
-stderr via stdlib logging); see ``docs/observability.md``.
+Each subparser names its handler through ``set_defaults(handler=...)``.
+A handler reports bad input by raising :class:`~repro.errors.ReproError`;
+``_run`` is the one place that turns it into ``error: ...`` on stderr and
+exit code 2.
 """
 
 from __future__ import annotations
@@ -56,6 +31,17 @@ from repro.workloads.datasets import DATASETS
 
 _GENERATORS = generators.GRAPH_KINDS
 
+#: ``repro bench`` experiments: name -> ``repro.bench.harness`` function.
+_EXPERIMENTS = {
+    "table6": "run_table6",
+    "fig5": "run_fig5_comm_comp",
+    "fig6": "run_fig6_speedup",
+    "fig7": "run_fig7_scalability",
+    "fig8": "run_fig8_batch_size",
+    "fig9": "run_fig9_factor_k",
+    "faults": "run_fault_recovery",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,18 +57,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help="log telemetry to stderr while running",
     )
+    baseline_flags = argparse.ArgumentParser(add_help=False)
+    baseline_flags.add_argument(
+        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
+        help="save the results as the regression baseline (default PATH: "
+        "benchmarks/baselines/NAME.json, NAME being the experiment, "
+        "serve-bench, or serve-bench-mixed with --mode mixed)",
+    )
+    baseline_flags.add_argument(
+        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
+        help="compare the results against a saved baseline and exit "
+        "non-zero on regression",
+    )
+    baseline_flags.add_argument(
+        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
+        help="relative deviation tolerated by --check-baseline "
+        "(default 0.1 = 10%%)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="list the Table V dataset stand-ins")
+    def command(name, handler, **kwargs) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    generate = sub.add_parser("generate", help="write a synthetic edge list")
+    command("datasets", _cmd_datasets, help="list the Table V dataset stand-ins")
+
+    generate = command(
+        "generate", _cmd_generate, help="write a synthetic edge list"
+    )
     generate.add_argument("output", type=Path)
     generate.add_argument("--kind", choices=sorted(_GENERATORS), default="social")
     generate.add_argument("--vertices", "-n", type=int, default=1000)
     generate.add_argument("--seed", type=int, default=0)
 
-    build = sub.add_parser(
-        "build", help="build an index from an edge list",
+    build = command(
+        "build", _cmd_build, help="build an index from an edge list",
         parents=[telemetry_flags],
     )
     build.add_argument("graph", type=Path)
@@ -118,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker-process count for --engine mp (default: cpu count)",
     )
 
-    query = sub.add_parser(
-        "query", help="answer queries from a saved index",
+    query = command(
+        "query", _cmd_query, help="answer queries from a saved index",
         parents=[telemetry_flags],
     )
     query.add_argument("index", type=Path)
@@ -129,14 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pairs", type=Path, help="file of whitespace-separated s t pairs"
     )
 
-    info = sub.add_parser("info", help="describe a saved index")
+    info = command("info", _cmd_info, help="describe a saved index")
     info.add_argument("index", type=Path)
 
-    analyze = sub.add_parser("analyze", help="structural stats of a graph")
+    analyze = command("analyze", _cmd_analyze, help="structural stats of a graph")
     analyze.add_argument("graph", type=Path)
 
-    validate = sub.add_parser(
-        "validate", help="check an index against its graph"
+    validate = command(
+        "validate", _cmd_validate, help="check an index against its graph"
     )
     validate.add_argument("graph", type=Path)
     validate.add_argument("index", type=Path)
@@ -145,32 +155,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check this many random pairs instead of all pairs",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run one paper experiment", parents=[telemetry_flags]
+    bench = command(
+        "bench", _cmd_bench, help="run one paper experiment",
+        parents=[telemetry_flags, baseline_flags],
     )
-    bench.add_argument(
-        "experiment",
-        choices=["table6", "fig5", "fig6", "fig7", "fig8", "fig9", "faults"],
-    )
+    bench.add_argument("experiment", choices=list(_EXPERIMENTS))
     bench.add_argument("--datasets", nargs="*", default=None)
-    bench.add_argument(
-        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="save the results as the regression baseline "
-        "(default PATH: benchmarks/baselines/EXPERIMENT.json)",
-    )
-    bench.add_argument(
-        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="compare the results against a saved baseline and exit "
-        "non-zero on regression",
-    )
-    bench.add_argument(
-        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
-        help="relative deviation tolerated by --check-baseline "
-        "(default 0.1 = 10%%)",
-    )
 
-    fuzz = sub.add_parser(
-        "fuzz",
+    fuzz = command(
+        "fuzz", _cmd_fuzz,
         help="differential fuzzing of the index builders",
         description="Run seeded cases (graph families × configurations) "
         "through the oracle matrix: all builders must agree, satisfy "
@@ -210,10 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(the engine-mismatch oracle)",
     )
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
+    serve_bench = command(
+        "serve-bench", _cmd_serve_bench,
         help="benchmark the query-serving layer (cached vs uncached)",
-        parents=[telemetry_flags],
+        parents=[telemetry_flags, baseline_flags],
         description="Shard the index, replay a Zipf-skewed request "
         "stream through the admission/batching pipeline with and "
         "without the query cache, and print throughput, latency "
@@ -331,28 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "drifted this far above its frozen rank (default: off)",
     )
     serve_bench.add_argument(
-        "--save-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="save the table as the serve regression baseline "
-        "(default PATH: benchmarks/baselines/serve-bench.json, or "
-        "serve-bench-mixed.json with --mode mixed)",
-    )
-    serve_bench.add_argument(
-        "--check-baseline", nargs="?", const="", default=None, metavar="PATH",
-        help="compare against a saved baseline; exit non-zero on deviation",
-    )
-    serve_bench.add_argument(
-        "--baseline-threshold", type=float, default=None, metavar="FRACTION",
-        help="relative deviation tolerated by --check-baseline "
-        "(default 0.1 = 10%%)",
-    )
-    serve_bench.add_argument(
         "--report", type=Path, default=None, metavar="PATH",
         help="write the per-row reports as JSON (atomic: an interrupted "
         "run never leaves a torn file)",
     )
 
-    scenario = sub.add_parser(
-        "scenario",
+    scenario = command(
+        "scenario", _cmd_scenario,
         help="run declarative serving scenarios with assertions",
         description="Execute declarative serving scenarios (traffic "
         "shape + fault schedule + replication config + expected-result "
@@ -389,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "./incidents); inspect them with 'repro incident'",
     )
 
-    incident = sub.add_parser(
-        "incident",
+    incident = command(
+        "incident", _cmd_incident,
         help="inspect flight-recorder incident bundles",
         description="List, dump, and analyze the incident bundles the "
         "flight recorder lands during scenario runs: 'list' shows one "
@@ -399,46 +377,36 @@ def _build_parser() -> argparse.ArgumentParser:
         "causal engine and prints the full post-mortem (timeline + "
         "ranked root-cause candidates with supporting event ids).",
     )
+    bundle_dir = argparse.ArgumentParser(add_help=False)
+    bundle_dir.add_argument(
+        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
+        help="bundle directory (default: ./incidents)",
+    )
+    bundle_ref = argparse.ArgumentParser(add_help=False)
+    bundle_ref.add_argument(
+        "incident", metavar="ID_OR_PATH",
+        help="bundle id (or unique prefix) or a path to a bundle file",
+    )
     incident_sub = incident.add_subparsers(
         dest="incident_command", required=True
     )
-    incident_list = incident_sub.add_parser(
-        "list", help="one line per bundle, oldest first"
+    incident_sub.add_parser(
+        "list", help="one line per bundle, oldest first", parents=[bundle_dir]
     )
-    incident_list.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
-    )
-    incident_show = incident_sub.add_parser(
-        "show", help="dump one bundle's trigger and buffered events"
-    )
-    incident_show.add_argument(
-        "incident", metavar="ID_OR_PATH",
-        help="bundle id (or unique prefix) or a path to a bundle file",
-    )
-    incident_show.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
+    incident_sub.add_parser(
+        "show", help="dump one bundle's trigger and buffered events",
+        parents=[bundle_ref, bundle_dir],
     )
     incident_report = incident_sub.add_parser(
-        "report", help="causal post-mortem: timeline + ranked root causes"
-    )
-    incident_report.add_argument(
-        "incident", metavar="ID_OR_PATH",
-        help="bundle id (or unique prefix) or a path to a bundle file",
-    )
-    incident_report.add_argument(
-        "--dir", type=Path, default=Path("incidents"), metavar="DIR",
-        help="bundle directory (default: ./incidents)",
+        "report", help="causal post-mortem: timeline + ranked root causes",
+        parents=[bundle_ref, bundle_dir],
     )
     incident_report.add_argument(
         "--json", action="store_true",
         help="print the post-mortem as JSON",
     )
 
-    trace = sub.add_parser(
-        "trace", help="summarize a JSONL telemetry trace"
-    )
+    trace = command("trace", _cmd_trace, help="summarize a JSONL telemetry trace")
     trace.add_argument("file", type=Path)
     trace.add_argument(
         "--top", type=int, default=15,
@@ -457,8 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the N slowest request traces with per-stage breakdown",
     )
 
-    top = sub.add_parser(
-        "top",
+    top = command(
+        "top", _cmd_top,
         help="live serving dashboard over a JSONL trace",
         description="Read the serve.request events of a trace and show "
         "throughput, latency percentiles, hit/shed rates, per-shard "
@@ -514,8 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "OpenMetrics text exposition format instead of the console view",
     )
 
-    profile = sub.add_parser(
-        "profile",
+    profile = command(
+        "profile", _cmd_profile,
         help="skew/straggler analysis of a JSONL telemetry trace",
     )
     profile.add_argument("file", type=Path)
@@ -535,17 +503,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def subcommand_names() -> list[str]:
+    """The top-level subcommands, in registration order.
+
+    ``tools/check_docs.py`` holds ``docs/api.md``'s command table to
+    this list.
+    """
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return list(subparsers.choices)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except ReproError as exc:
-        # Simulated-resource failures (time limit, memory, super-step
-        # limit) and bad fault specs are expected outcomes, not bugs:
-        # report them like any other usage error instead of tracebacking.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args)
     except BrokenPipeError:
         # stdout was piped into e.g. `head`; the truncation is
         # deliberate, so swallow the error instead of tracebacking.
@@ -557,38 +532,60 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
-def _dispatch(args) -> int:
-    handler = _HANDLERS[args.command]
+def _run(args) -> int:
+    """Run the handler, inside a telemetry session when asked for one.
+
+    Bad input and simulated-resource failures (time limit, memory,
+    super-step limit) raise :class:`ReproError`.  They are expected
+    outcomes, not bugs, so they end here as one ``error:`` line and
+    exit 2, after the ``cli.<command>`` span has recorded the failure
+    and before ``trace written to`` is reported.
+    """
     trace_out = getattr(args, "trace_out", None)
     verbose = getattr(args, "verbose", False)
-    if trace_out is None and not verbose:
-        return handler(args)
+    with ExitStack() as stack:
+        try:
+            if trace_out is None and not verbose:
+                return args.handler(args)
+            with telemetry.session(_open_sinks(trace_out, verbose, stack)):
+                with telemetry.trace_span(f"cli.{args.command}"):
+                    return args.handler(args)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
+
+def _open_sinks(trace_out: Path | None, verbose: bool, stack: ExitStack):
+    """The telemetry sinks ``--trace-out``/``--verbose`` ask for; their
+    clean-up, and the ``trace written to`` line, run as ``stack`` exits."""
     from repro.telemetry.sinks import JsonlSink, LoggingSink
 
     sinks = []
-    with ExitStack() as stack:
-        if trace_out is not None:
-            try:
-                sinks.append(JsonlSink(trace_out))
-            except OSError as exc:
-                print(f"error: cannot write trace to {trace_out}: "
-                      f"{exc.strerror or exc}", file=sys.stderr)
-                return 2
-        if verbose:
-            handler_obj = logging.StreamHandler(sys.stderr)
-            handler_obj.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-            logger = logging.getLogger("repro.telemetry")
-            logger.setLevel(logging.INFO)
-            logger.addHandler(handler_obj)
-            stack.callback(logger.removeHandler, handler_obj)
-            sinks.append(LoggingSink(logger))
-        with telemetry.session(sinks):
-            with telemetry.trace_span(f"cli.{args.command}"):
-                code = handler(args)
     if trace_out is not None:
-        print(f"trace written to {trace_out}", file=sys.stderr)
-    return code
+        try:
+            sinks.append(JsonlSink(trace_out))
+        except OSError as exc:
+            raise ReproError(
+                f"cannot write trace to {trace_out}: {exc.strerror or exc}"
+            ) from exc
+        stack.callback(
+            print, f"trace written to {trace_out}", file=sys.stderr
+        )
+    if verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        logger = logging.getLogger("repro.telemetry")
+        logger.setLevel(logging.INFO)
+        logger.addHandler(handler)
+        stack.callback(logger.removeHandler, handler)
+        sinks.append(LoggingSink(logger))
+    return sinks
+
+
+def _require_files(*paths: Path) -> None:
+    for path in paths:
+        if not path.exists():
+            raise ReproError(f"no such file: {path}")
 
 
 def _cmd_datasets(args) -> int:
@@ -611,9 +608,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if not args.graph.exists():
-        print(f"error: no such file: {args.graph}", file=sys.stderr)
-        return 2
+    _require_files(args.graph)
     graph = read_edge_list(args.graph)
     kwargs = {}
     if args.method == "drl-b":
@@ -622,53 +617,38 @@ def _cmd_build(args) -> int:
         )
     if args.engine != "sim":
         if args.method == "tol":
-            print(
-                "error: --engine needs a cluster method; the serial "
-                "'tol' baseline runs outside the Pregel engines",
-                file=sys.stderr,
+            raise ReproError(
+                "--engine needs a cluster method; the serial 'tol' "
+                "baseline runs outside the Pregel engines"
             )
-            return 2
         if args.faults is not None or args.checkpoint_interval is not None:
-            print(
-                "error: --faults/--checkpoint-interval only work on the "
-                "deterministic simulator; drop them or use --engine sim",
-                file=sys.stderr,
+            raise ReproError(
+                "--faults/--checkpoint-interval only work on the "
+                "deterministic simulator; drop them or use --engine sim"
             )
-            return 2
         if args.workers is not None and args.workers < 1:
-            print("error: --workers must be at least 1", file=sys.stderr)
-            return 2
+            raise ReproError("--workers must be at least 1")
         kwargs["engine"] = args.engine
         if args.workers is not None:
             kwargs["workers"] = args.workers
     elif args.workers is not None:
-        print(
-            "error: --workers only applies to --engine mp", file=sys.stderr
-        )
-        return 2
+        raise ReproError("--workers only applies to --engine mp")
     if args.faults is not None or args.checkpoint_interval is not None:
         if args.method == "tol":
-            print(
-                "error: --faults/--checkpoint-interval need a cluster "
-                "method; the serial 'tol' baseline has no nodes to fail",
-                file=sys.stderr,
+            raise ReproError(
+                "--faults/--checkpoint-interval need a cluster method; "
+                "the serial 'tol' baseline has no nodes to fail"
             )
-            return 2
         if args.faults is not None:
             plan = FaultPlan.parse(args.faults)
             try:
                 plan.validate_for(args.nodes)
             except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                raise ReproError(str(exc)) from exc
             kwargs["faults"] = plan
         if args.checkpoint_interval is not None:
             if args.checkpoint_interval < 1:
-                print(
-                    "error: --checkpoint-interval must be at least 1",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ReproError("--checkpoint-interval must be at least 1")
             kwargs["checkpoint_interval"] = args.checkpoint_interval
     if args.time_limit is not None:
         kwargs["cost_model"] = CostModel().with_time_limit(args.time_limit)
@@ -724,27 +704,23 @@ def _parse_pairs_file(path: Path) -> tuple[list[tuple[int, int]], int]:
 def _cmd_query(args) -> int:
     from repro.serve import AuditingBackend, IndexBackend, QueryServer
 
-    if not args.index.exists():
-        print(f"error: no such file: {args.index}", file=sys.stderr)
-        return 2
+    _require_files(args.index)
     index = ReachabilityIndex.load(args.index)
     skipped = 0
     if args.pairs is not None:
         try:
             pairs, skipped = _parse_pairs_file(args.pairs)
         except OSError as exc:
-            print(f"error: cannot read {args.pairs}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
+            raise ReproError(f"cannot read {args.pairs}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
-            print(f"error: {args.pairs} is not UTF-8 text "
-                  f"(byte {exc.start}: {exc.reason})", file=sys.stderr)
-            return 2
+            raise ReproError(
+                f"{args.pairs} is not UTF-8 text "
+                f"(byte {exc.start}: {exc.reason})"
+            ) from exc
     elif args.source is not None and args.target is not None:
         pairs = [(args.source, args.target)]
     else:
-        print("error: give SOURCE TARGET or --pairs FILE", file=sys.stderr)
-        return 2
+        raise ReproError("give SOURCE TARGET or --pairs FILE")
     n = index.num_vertices
     in_range = [(s, t) for s, t in pairs if 0 <= s < n and 0 <= t < n]
     # One client serves the pairs in input order; the auditor keeps
@@ -764,9 +740,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    if not args.index.exists():
-        print(f"error: no such file: {args.index}", file=sys.stderr)
-        return 2
+    _require_files(args.index)
     index = ReachabilityIndex.load(args.index)
     print(f"vertices:      {index.num_vertices}")
     print(f"label entries: {index.num_entries}")
@@ -777,9 +751,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not args.graph.exists():
-        print(f"error: no such file: {args.graph}", file=sys.stderr)
-        return 2
+    _require_files(args.graph)
     from repro.graph.analysis import bowtie_decomposition, degree_summary
     from repro.graph.scc import strongly_connected_components
 
@@ -798,10 +770,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    for path in (args.graph, args.index):
-        if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return 2
+    _require_files(args.graph, args.index)
     from repro.core.validate import check_cover, check_soundness
 
     graph = read_edge_list(args.graph)
@@ -818,32 +787,48 @@ def _cmd_validate(args) -> int:
     return 0 if cover.ok and soundness.ok else 1
 
 
+def _baseline_gate(args, name: str, tables) -> int:
+    """``--check-baseline``/``--save-baseline`` against the baseline
+    ``name``: 1 when the check finds a regression, else 0."""
+    if args.check_baseline is None and args.save_baseline is None:
+        return 0
+    from repro.bench.baseline import (
+        DEFAULT_THRESHOLD,
+        compare_to_baseline,
+        default_baseline_path,
+        load_baseline,
+        save_baseline,
+    )
+
+    exit_code = 0
+    if args.check_baseline is not None:
+        path = Path(args.check_baseline or default_baseline_path(name))
+        threshold = (
+            DEFAULT_THRESHOLD
+            if args.baseline_threshold is None
+            else args.baseline_threshold
+        )
+        comparison = compare_to_baseline(
+            load_baseline(path), list(tables), threshold=threshold
+        )
+        print(comparison.render())
+        if not comparison.ok:
+            exit_code = 1
+    if args.save_baseline is not None:
+        path = Path(args.save_baseline or default_baseline_path(name))
+        saved = save_baseline(name, list(tables), path)
+        print(f"baseline saved to {saved}", file=sys.stderr)
+    return exit_code
+
+
 def _cmd_bench(args) -> int:
     from repro.bench import harness
     from repro.bench.results import capture_tables
 
-    names = args.datasets
-    model = paper_scale_model()
+    run = getattr(harness, _EXPERIMENTS[args.experiment])
     with capture_tables() as started:
         try:
-            if args.experiment == "table6":
-                tables = harness.run_table6(dataset_names=names, cost_model=model)
-            elif args.experiment == "fig5":
-                tables = (harness.run_fig5_comm_comp(names, cost_model=model),)
-            elif args.experiment == "fig6":
-                tables = tuple(
-                    harness.run_fig6_speedup(names, cost_model=model).values()
-                )
-            elif args.experiment == "fig7":
-                tables = tuple(
-                    harness.run_fig7_scalability(names, cost_model=model).values()
-                )
-            elif args.experiment == "fig8":
-                tables = (harness.run_fig8_batch_size(names, cost_model=model),)
-            elif args.experiment == "fig9":
-                tables = (harness.run_fig9_factor_k(names, cost_model=model),)
-            else:
-                tables = (harness.run_fault_recovery(names, cost_model=model),)
+            result = run(args.datasets, cost_model=paper_scale_model())
         except KeyboardInterrupt:
             # Measurements land in their tables cell by cell; print what
             # completed before the interrupt instead of discarding it.
@@ -853,45 +838,16 @@ def _cmd_bench(args) -> int:
                     print(table.render())
                     print()
             return 130
+    if isinstance(result, dict):
+        tables = tuple(result.values())
+    elif isinstance(result, tuple):
+        tables = result
+    else:
+        tables = (result,)
     for table in tables:
         print(table.render())
         print()
-    exit_code = 0
-    if args.check_baseline is not None or args.save_baseline is not None:
-        from repro.bench.baseline import (
-            DEFAULT_THRESHOLD,
-            compare_to_baseline,
-            default_baseline_path,
-            load_baseline,
-            save_baseline,
-        )
-
-        if args.check_baseline is not None:
-            path = (
-                Path(args.check_baseline)
-                if args.check_baseline
-                else default_baseline_path(args.experiment)
-            )
-            threshold = (
-                args.baseline_threshold
-                if args.baseline_threshold is not None
-                else DEFAULT_THRESHOLD
-            )
-            comparison = compare_to_baseline(
-                load_baseline(path), list(tables), threshold=threshold
-            )
-            print(comparison.render())
-            if not comparison.ok:
-                exit_code = 1
-        if args.save_baseline is not None:
-            path = (
-                Path(args.save_baseline)
-                if args.save_baseline
-                else default_baseline_path(args.experiment)
-            )
-            saved = save_baseline(args.experiment, list(tables), path)
-            print(f"baseline saved to {saved}", file=sys.stderr)
-    return exit_code
+    return _baseline_gate(args, args.experiment, tables)
 
 
 def _cmd_serve_bench(args) -> int:
@@ -902,34 +858,34 @@ def _cmd_serve_bench(args) -> int:
     )
 
     if args.cache_only and args.no_cache:
-        print("error: --cache-only and --no-cache exclude each other",
-              file=sys.stderr)
-        return 2
+        raise ReproError("--cache-only and --no-cache exclude each other")
     if args.graph is not None:
-        if not args.graph.exists():
-            print(f"error: no such file: {args.graph}", file=sys.stderr)
-            return 2
+        _require_files(args.graph)
         graph = read_edge_list(args.graph)
     else:
         graph = _GENERATORS[args.kind](args.vertices, seed=args.seed)
         print(f"generated {args.kind} graph: n={graph.num_vertices} "
               f"m={graph.num_edges}", file=sys.stderr)
+    common = dict(
+        shards=args.shards,
+        partitioner=args.partitioner,
+        requests=args.requests,
+        rate=args.rate,
+        zipf=args.zipf,
+        cache_size=args.cache_size,
+        negative_cache=not args.no_negative_cache,
+        queue_depth=args.queue_depth,
+        batch_size=args.batch_size,
+        deadline_seconds=args.deadline,
+        seed=args.seed,
+        with_cache=not args.no_cache,
+        without_cache=not args.cache_only,
+    )
     if args.mode == "mixed":
         baseline_name = "serve-bench-mixed"
         try:
             table, reports = run_mixed_serve_bench(
                 graph,
-                shards=args.shards,
-                partitioner=args.partitioner,
-                requests=args.requests,
-                rate=args.rate,
-                zipf=args.zipf,
-                cache_size=args.cache_size,
-                negative_cache=not args.no_negative_cache,
-                queue_depth=args.queue_depth,
-                batch_size=args.batch_size,
-                deadline_seconds=args.deadline,
-                seed=args.seed,
                 writes=args.writes,
                 write_rate=args.write_rate,
                 insert_ratio=args.insert_ratio,
@@ -939,31 +895,14 @@ def _cmd_serve_bench(args) -> int:
                 replication_delay=args.replication_delay,
                 max_lag=args.max_lag,
                 drift_threshold=args.drift_threshold,
-                with_cache=not args.no_cache,
-                without_cache=not args.cache_only,
+                **common,
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ReproError(str(exc)) from exc
     else:
         baseline_name = "serve-bench"
         table, reports = run_serve_bench(
-            graph,
-            shards=args.shards,
-            partitioner=args.partitioner,
-            requests=args.requests,
-            rate=args.rate,
-            arrival=args.arrival,
-            clients=args.clients,
-            zipf=args.zipf,
-            cache_size=args.cache_size,
-            negative_cache=not args.no_negative_cache,
-            queue_depth=args.queue_depth,
-            batch_size=args.batch_size,
-            deadline_seconds=args.deadline,
-            seed=args.seed,
-            with_cache=not args.no_cache,
-            without_cache=not args.cache_only,
+            graph, arrival=args.arrival, clients=args.clients, **common
         )
     for row, report in reports.items():
         print(f"[{row}]")
@@ -991,42 +930,7 @@ def _cmd_serve_bench(args) -> int:
             args.report, json_module.dumps(payload, indent=2) + "\n"
         )
         print(f"report written to {args.report}", file=sys.stderr)
-    exit_code = 0
-    if args.check_baseline is not None or args.save_baseline is not None:
-        from repro.bench.baseline import (
-            DEFAULT_THRESHOLD,
-            compare_to_baseline,
-            default_baseline_path,
-            load_baseline,
-            save_baseline,
-        )
-
-        if args.check_baseline is not None:
-            path = (
-                Path(args.check_baseline)
-                if args.check_baseline
-                else default_baseline_path(baseline_name)
-            )
-            threshold = (
-                args.baseline_threshold
-                if args.baseline_threshold is not None
-                else DEFAULT_THRESHOLD
-            )
-            comparison = compare_to_baseline(
-                load_baseline(path), [table], threshold=threshold
-            )
-            print(comparison.render())
-            if not comparison.ok:
-                exit_code = 1
-        if args.save_baseline is not None:
-            path = (
-                Path(args.save_baseline)
-                if args.save_baseline
-                else default_baseline_path(baseline_name)
-            )
-            saved = save_baseline(baseline_name, [table], path)
-            print(f"baseline saved to {saved}", file=sys.stderr)
-    return exit_code
+    return _baseline_gate(args, baseline_name, [table])
 
 
 def _cmd_scenario(args) -> int:
@@ -1056,13 +960,11 @@ def _cmd_scenario(args) -> int:
         elif Path(name).exists():
             specs.append(load_scenario(Path(name)))
         else:
-            print(
-                f"error: {name!r} is neither a library scenario "
+            raise ReproError(
+                f"{name!r} is neither a library scenario "
                 f"({', '.join(sorted(library)) or 'none committed'}) "
-                f"nor a spec file",
-                file=sys.stderr,
+                f"nor a spec file"
             )
-            return 2
     incident_dir = args.incidents_dir
     if incident_dir is None:
         # Bundles land next to the report by default, so a red CI run
@@ -1113,15 +1015,13 @@ def _cmd_incident(args) -> int:
         return 0
 
     try:
-        path = find_bundle(args.incident, args.dir)
-        bundle = load_bundle(path)
+        bundle = load_bundle(find_bundle(args.incident, args.dir))
     except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ReproError(str(exc)) from exc
     if args.incident_command == "show":
         print(render_bundle(bundle))
         return 0
-    if getattr(args, "json", False):
+    if args.json:
         import json as _json
 
         from repro.observe.incident import analyze_bundle
@@ -1136,9 +1036,7 @@ def _cmd_fuzz(args) -> int:
     from repro.fuzz.runner import replay_failure, run_fuzz
 
     if args.replay is not None:
-        if not args.replay.exists():
-            print(f"error: no such file: {args.replay}", file=sys.stderr)
-            return 2
+        _require_files(args.replay)
         data, result = replay_failure(args.replay)
         print(f"replaying {args.replay}")
         print(f"  {data['case'].describe()}")
@@ -1156,8 +1054,7 @@ def _cmd_fuzz(args) -> int:
     if count is None and args.time_budget is None:
         count = 100
     if args.time_budget is not None and args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return 2
+        raise ReproError("--time-budget must be positive")
     report = run_fuzz(
         seed=args.seed,
         count=count,
@@ -1173,8 +1070,9 @@ def _cmd_fuzz(args) -> int:
 
 
 def _read_trace_tolerantly(path: Path):
-    """Shared trace loading for ``trace``/``profile``: returns
-    ``(records, exit_code)`` where records is ``None`` on a hard error.
+    """Shared trace loading for ``trace``/``top``/``profile``: returns
+    ``(records, exit_code)``, raising :class:`ReproError` when the file
+    is missing or holds no valid record.
 
     Malformed lines are reported to stderr as counted warnings and turn
     the eventual exit code into 1 (the summary still prints), matching
@@ -1182,14 +1080,11 @@ def _read_trace_tolerantly(path: Path):
     """
     from repro.telemetry.report import TraceReadError, read_trace
 
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None, 2
+    _require_files(path)
     try:
         records = read_trace(path)
     except TraceReadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+        raise ReproError(str(exc)) from exc
     for reason in records.skipped[:5]:
         print(f"warning: {reason}; skipped", file=sys.stderr)
     if records.skipped:
@@ -1210,8 +1105,6 @@ def _cmd_trace(args) -> int:
     )
 
     records, exit_code = _read_trace_tolerantly(args.file)
-    if records is None:
-        return exit_code
     if args.trace_id is not None:
         matches = find_request_traces(records, args.trace_id)
         if not matches:
@@ -1240,14 +1133,11 @@ def _cmd_top(args) -> int:
     from repro.observe.slo import load_slo_specs
 
     if args.json and not args.once:
-        print("error: --json needs --once", file=sys.stderr)
-        return 2
+        raise ReproError("--json needs --once")
     if args.openmetrics and not args.once:
-        print("error: --openmetrics needs --once", file=sys.stderr)
-        return 2
+        raise ReproError("--openmetrics needs --once")
     if args.openmetrics and args.json:
-        print("error: --openmetrics and --json are exclusive", file=sys.stderr)
-        return 2
+        raise ReproError("--openmetrics and --json are exclusive")
     incidents = None
     if args.incidents is not None:
         from repro.observe.incident import list_bundles, summarize_bundle
@@ -1258,19 +1148,14 @@ def _cmd_top(args) -> int:
         ]
     specs = None
     if args.slo is not None:
-        if not args.slo.exists():
-            print(f"error: no such file: {args.slo}", file=sys.stderr)
-            return 2
+        _require_files(args.slo)
         try:
             specs = load_slo_specs(args.slo)
         except (ValueError, OSError) as exc:
-            print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
+            raise ReproError(f"bad SLO spec {args.slo}: {exc}") from exc
 
     def build_model():
         records, exit_code = _read_trace_tolerantly(args.file)
-        if records is None:
-            return None, exit_code
         try:
             model = DashboardModel.from_records(
                 records,
@@ -1281,14 +1166,11 @@ def _cmd_top(args) -> int:
                 incidents=incidents,
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None, 2
+            raise ReproError(str(exc)) from exc
         return model, exit_code
 
     if args.once:
         model, exit_code = build_model()
-        if model is None:
-            return exit_code
         if not model.requests:
             print(f"error: no request traces in {args.file} "
                   "(run serve-bench with --trace-out)", file=sys.stderr)
@@ -1317,9 +1199,7 @@ def _cmd_top(args) -> int:
     # Live mode: re-read and re-render until interrupted.
     try:
         while True:
-            model, exit_code = build_model()
-            if model is None:
-                return exit_code
+            model, _ = build_model()
             # ANSI clear + home, then the fresh frame.
             sys.stdout.write("\x1b[2J\x1b[H")
             print(model.render())
@@ -1338,8 +1218,6 @@ def _cmd_profile(args) -> int:
     )
 
     records, exit_code = _read_trace_tolerantly(args.file)
-    if records is None:
-        return exit_code
     # Export before printing: a closed stdout pipe must not lose the files.
     if args.chrome_trace is not None:
         write_chrome_trace(records, args.chrome_trace)
@@ -1349,25 +1227,6 @@ def _cmd_profile(args) -> int:
         print(f"folded stacks written to {args.flamegraph}", file=sys.stderr)
     print(profile_report(records, top=args.top))
     return exit_code
-
-
-_HANDLERS = {
-    "datasets": _cmd_datasets,
-    "generate": _cmd_generate,
-    "build": _cmd_build,
-    "query": _cmd_query,
-    "info": _cmd_info,
-    "analyze": _cmd_analyze,
-    "validate": _cmd_validate,
-    "bench": _cmd_bench,
-    "serve-bench": _cmd_serve_bench,
-    "scenario": _cmd_scenario,
-    "incident": _cmd_incident,
-    "fuzz": _cmd_fuzz,
-    "trace": _cmd_trace,
-    "top": _cmd_top,
-    "profile": _cmd_profile,
-}
 
 
 if __name__ == "__main__":  # pragma: no cover

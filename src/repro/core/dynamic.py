@@ -235,6 +235,27 @@ class DynamicReachabilityIndex:
         for listener in self._listeners:
             listener(op, u, v)
 
+    def apply(self, op: str, u: int, v: int):
+        """Apply one ``(op, u, v)`` update of any :data:`UPDATE_OPS` kind
+        and return what its method returns.
+
+        ``add_node`` ignores the payload (ids are assigned densely, so
+        replaying a log in order reproduces them); ``promote`` takes
+        ``v`` as the target rank, a negative one meaning the vertex's
+        degree rank.  Raises ``ValueError`` for an unknown op.
+        """
+        if op == "insert":
+            return self.insert_edge(u, v)
+        if op == "delete":
+            return self.delete_edge(u, v)
+        if op == "add_node":
+            return self.add_node()
+        if op == "delete_node":
+            return self.delete_node(u)
+        if op == "promote":
+            return self.promote(u, v)
+        raise ValueError(f"unknown update op {op!r}")
+
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------

@@ -56,6 +56,7 @@ from repro.errors import ShardOutOfMemoryError, ShardUnavailableError
 from repro.graph.partition import HashPartitioner, Partitioner
 from repro.observe import tracing
 from repro.pregel.cost_model import DEFAULT_COST_MODEL, CostModel
+from repro.serve.store import in_labels_of, out_labels_of
 from repro.telemetry import trace_event
 
 #: Read fan-out policies accepted by :class:`ReplicatedLabelStore`.
@@ -235,30 +236,11 @@ class BoundedStalenessReplicator:
 
     # ------------------------------------------------------------------
     def _on_update(self, op: str, u: int, v: int) -> None:
+        # Followers replay this log in order through
+        # ``DynamicReachabilityIndex.apply``: dense ``add_node`` ids come
+        # out the same, and ``promote`` carries the concrete rank the
+        # leader applied, so follower orders stay identical.
         self.log.append((op, u, v, self.clock))
-
-    @staticmethod
-    def _apply_op(follower, op: str, u: int, v: int) -> None:
-        """Replay one logged leader op on a follower index.
-
-        ``add_node`` needs no payload: ids are assigned densely from a
-        shared starting point, so replaying ops in log order yields the
-        same ids on every follower.  ``promote`` replays the concrete
-        rank the leader applied (the leader resolves drift-triggered
-        promotions before logging), keeping follower orders identical.
-        """
-        if op == "insert":
-            follower.insert_edge(u, v)
-        elif op == "delete":
-            follower.delete_edge(u, v)
-        elif op == "add_node":
-            follower.add_node()
-        elif op == "delete_node":
-            follower.delete_node(u)
-        elif op == "promote":
-            follower.promote(u, v)
-        else:
-            raise ValueError(f"unknown update op {op!r}")
 
     def note_time(self, clock: float) -> None:
         """Stamp subsequent leader updates with this issue time."""
@@ -328,7 +310,7 @@ class BoundedStalenessReplicator:
             i = self._applied[r]
             while i < len(self.log) and self.log[i][3] + self.delay_seconds <= clock:
                 op, u, v, _ = self.log[i]
-                self._apply_op(follower, op, u, v)
+                follower.apply(op, u, v)
                 i += 1
                 applied += 1
             self._applied[r] = i
@@ -343,7 +325,7 @@ class BoundedStalenessReplicator:
         count = 0
         while i < len(self.log):
             op, u, v, _ = self.log[i]
-            self._apply_op(follower, op, u, v)
+            follower.apply(op, u, v)
             i += 1
             count += 1
         self._applied[replica] = i
@@ -437,8 +419,8 @@ class ReplicatedLabelStore:
         for v in range(n):
             home = self._shard_of[v]
             self._shard_vertices[home] += 1
-            self._shard_entries[home] += len(self._labels(index, v, out=True)) + len(
-                self._labels(index, v, out=False)
+            self._shard_entries[home] += (
+                len(out_labels_of(index, v)) + len(in_labels_of(index, v))
             )
         budget = self._cost.node_memory_bytes
         for shard_id in range(num_shards):
@@ -452,14 +434,6 @@ class ReplicatedLabelStore:
                     entries=self._shard_entries[shard_id],
                 )
         self.replica_sets = [ReplicaSet(i, replicas) for i in range(num_shards)]
-
-    # ------------------------------------------------------------------
-    # Label access across index flavours (list-style or callable)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _labels(index, v: int, out: bool):
-        labels = index.out_labels if out else index.in_labels
-        return labels[v] if isinstance(labels, list) else labels(v)
 
     def _view(self, replica: int):
         if self.replicator is None:
@@ -688,8 +662,7 @@ class ReplicatedLabelStore:
             attrs = {
                 "home": home,
                 "replica": winner,
-                "entries": len(self._labels(view, s, out=True))
-                + len(self._labels(view, t, out=False)),
+                "entries": len(out_labels_of(view, s)) + len(in_labels_of(view, t)),
             }
             if target != home:
                 attrs["remote"] = target
@@ -723,8 +696,8 @@ class ReplicatedLabelStore:
         """Serve the read from group ``r``; returns (answer, seconds)."""
         cost = self._cost
         view = self._view(r)
-        out_labels = self._labels(view, s, out=True)
-        in_labels = self._labels(view, t, out=False)
+        out_labels = out_labels_of(view, s)
+        in_labels = in_labels_of(view, t)
         member = self.replica_sets[home].replicas[r]
         member.requests += 1
         seconds = (len(out_labels) + len(in_labels) + 1) * cost.t_op
@@ -771,9 +744,7 @@ class ReplicatedLabelStore:
                 cost = self._cost
                 leader = rep.leader
                 merge = (
-                    len(self._labels(leader, s, out=True))
-                    + len(self._labels(leader, t, out=False))
-                    + 1
+                    len(out_labels_of(leader, s)) + len(in_labels_of(leader, t)) + 1
                 ) * cost.t_op
                 confirm_seconds = cost.t_hop + merge
                 seconds += confirm_seconds

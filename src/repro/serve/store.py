@@ -47,26 +47,27 @@ class LabelShard:
         return self.entries * entry_bytes
 
 
-class _LabelAccess:
-    """Reads ``self._index``'s labels, whichever index kind it is.
+def out_labels_of(index, v: int):
+    """``L_out(v)`` of any index view, whichever index kind it is.
 
     :class:`~repro.core.labels.ReachabilityIndex` exposes
     ``out_labels(v)``/``in_labels(v)`` methods; a live
     :class:`~repro.core.dynamic.DynamicReachabilityIndex` exposes plain
-    lists of sets.  The store and :class:`IndexBackend` both read
-    through here, so updates to a dynamic index are visible at once.
+    lists of sets.  The stores and :class:`IndexBackend` all read
+    through here and :func:`in_labels_of`, so updates to a dynamic
+    index are visible at once.
     """
-
-    def _out_labels(self, v: int):
-        out = self._index.out_labels
-        return out[v] if isinstance(out, list) else out(v)
-
-    def _in_labels(self, v: int):
-        labels = self._index.in_labels
-        return labels[v] if isinstance(labels, list) else labels(v)
+    labels = index.out_labels
+    return labels[v] if isinstance(labels, list) else labels(v)
 
 
-class ShardedLabelStore(_LabelAccess):
+def in_labels_of(index, v: int):
+    """``L_in(v)`` of any index view; see :func:`out_labels_of`."""
+    labels = index.in_labels
+    return labels[v] if isinstance(labels, list) else labels(v)
+
+
+class ShardedLabelStore:
     """``L_in``/``L_out`` partitioned across shards, with fetch costs.
 
     Parameters
@@ -113,7 +114,7 @@ class ShardedLabelStore(_LabelAccess):
         for v in range(n):
             shard = self.shards[self._shard_of[v]]
             shard.vertices += 1
-            shard.entries += len(self._out_labels(v)) + len(self._in_labels(v))
+            shard.entries += len(out_labels_of(index, v)) + len(in_labels_of(index, v))
         budget = self._cost.node_memory_bytes
         for shard in self.shards:
             attempted = shard.memory_bytes(self._cost.entry_bytes)
@@ -162,8 +163,8 @@ class ShardedLabelStore(_LabelAccess):
         compared, as in :class:`IndexBackend`.
         """
         cost = self._cost
-        out_labels = self._out_labels(s)
-        in_labels = self._in_labels(t)
+        out_labels = out_labels_of(self._index, s)
+        in_labels = in_labels_of(self._index, t)
         home = self._shard_of[s]
         target_shard = self._shard_of[t]
         self.shards[home].requests += 1
@@ -202,7 +203,7 @@ class ShardedIndexBackend:
         return self._store.fetch(s, t)
 
 
-class IndexBackend(_LabelAccess):
+class IndexBackend:
     """The collected 2-hop index (§III-D): one sorted merge per query.
 
     Serves a finished :class:`~repro.core.labels.ReachabilityIndex` or
@@ -216,5 +217,6 @@ class IndexBackend(_LabelAccess):
         self._t_op = (cost_model or DEFAULT_COST_MODEL).t_op
 
     def query_with_cost(self, s: int, t: int) -> tuple[bool, float]:
-        units = len(self._out_labels(s)) + len(self._in_labels(t)) + 1
-        return self._index.query(s, t), units * self._t_op
+        index = self._index
+        units = len(out_labels_of(index, s)) + len(in_labels_of(index, t)) + 1
+        return index.query(s, t), units * self._t_op

@@ -21,7 +21,8 @@ from repro.graph.digraph import DiGraph
 UpdateOp = tuple[Literal["insert", "delete", "add_node", "delete_node", "promote"], int, int]
 
 #: Sentinel rank in a ``("promote", v, rank)`` op meaning "promote to
-#: the vertex's current degree rank" (resolved by the applier).
+#: the vertex's current degree rank" (resolved by
+#: :meth:`~repro.core.dynamic.DynamicReachabilityIndex.apply`).
 IDEAL_RANK = -1
 
 
@@ -165,15 +166,4 @@ def mixed_update_stream(
 def apply_stream(dynamic, stream: list[UpdateOp]) -> None:
     """Apply an update stream to a dynamic index (all five op kinds)."""
     for op, u, v in stream:
-        if op == "insert":
-            dynamic.insert_edge(u, v)
-        elif op == "delete":
-            dynamic.delete_edge(u, v)
-        elif op == "add_node":
-            dynamic.add_node()
-        elif op == "delete_node":
-            dynamic.delete_node(u)
-        elif op == "promote":
-            dynamic.promote(u, None if v == IDEAL_RANK else v)
-        else:
-            raise ValueError(f"unknown update op {op!r}")
+        dynamic.apply(op, u, v)

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.core.labels import ReachabilityIndex
 from repro.graph.io import read_edge_list
+from repro.scenarios import library_scenarios
 
 
 @pytest.fixture
@@ -676,3 +677,174 @@ def test_serve_bench_mixed_bad_ratio_exits_2(capsys):
         "--mode", "mixed", "--writes", "5", "--node-ratio", "1.5",
     ]) == 2
     assert "node_ratio" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The exit-2 contract: every usage error prints one exact error line
+# ----------------------------------------------------------------------
+_SCENARIOS = ", ".join(sorted(library_scenarios()))
+_NOT_JSON = ("bad.jsonl: no valid trace records (1 malformed line(s); first: "
+             "bad.jsonl:1: not JSON: Expecting value: line 1 column 1 (char 0))")
+
+#: (argv, the one ``error:`` line on stderr), run from a directory
+#: holding g.txt, g.idx, serve.jsonl, bad.jsonl, bin.txt, bad_slo.json
+#: and an empty directory adir.
+_EXIT_2_CASES = {
+    "build-missing-graph": (
+        "build nope.txt -o x.idx", "no such file: nope.txt"),
+    "build-workers-on-sim": (
+        "build g.txt -o x.idx --workers 2",
+        "--workers only applies to --engine mp"),
+    "build-mp-zero-workers": (
+        "build g.txt -o x.idx --engine mp --workers 0",
+        "--workers must be at least 1"),
+    "build-mp-tol": (
+        "build g.txt -o x.idx --engine mp --method tol",
+        "--engine needs a cluster method; the serial 'tol' baseline runs "
+        "outside the Pregel engines"),
+    "build-mp-faults": (
+        "build g.txt -o x.idx --engine mp --faults crash=1@2",
+        "--faults/--checkpoint-interval only work on the deterministic "
+        "simulator; drop them or use --engine sim"),
+    "build-tol-faults": (
+        "build g.txt -o x.idx --method tol --faults crash=1@2",
+        "--faults/--checkpoint-interval need a cluster method; the serial "
+        "'tol' baseline has no nodes to fail"),
+    "build-bad-fault-spec": (
+        "build g.txt -o x.idx --faults crash=nope",
+        "bad fault clause 'crash=nope': invalid literal for int() with "
+        "base 10: 'nope'"),
+    "build-fault-node-out-of-range": (
+        "build g.txt -o x.idx --nodes 4 --faults crash=9@2",
+        "fault plan names node 9 but the cluster has only 4 nodes"),
+    "build-checkpoint-interval-0": (
+        "build g.txt -o x.idx --checkpoint-interval 0",
+        "--checkpoint-interval must be at least 1"),
+    "build-time-limit": (
+        "build g.txt -o x.idx --time-limit 1e-12",
+        "simulated time 0.0s exceeded the cut-off of 0.0s"),
+    "build-trace-out-directory": (
+        "build g.txt -o x.idx --trace-out adir",
+        "cannot write trace to adir: Is a directory"),
+    "build-trace-out-missing-dir": (
+        "build g.txt -o x.idx --trace-out nodir/t.jsonl",
+        "cannot write trace to nodir/t.jsonl: No such file or directory"),
+    "query-no-pairs": (
+        "query g.idx", "give SOURCE TARGET or --pairs FILE"),
+    "query-missing-index": (
+        "query nope.idx 0 1", "no such file: nope.idx"),
+    "query-missing-pairs": (
+        "query g.idx --pairs missing.txt",
+        "cannot read missing.txt: No such file or directory"),
+    "query-pairs-directory": (
+        "query g.idx --pairs adir", "cannot read adir: Is a directory"),
+    "query-pairs-not-utf8": (
+        "query g.idx --pairs bin.txt",
+        "bin.txt is not UTF-8 text (byte 4: invalid start byte)"),
+    "info-missing-index": ("info nope.idx", "no such file: nope.idx"),
+    "analyze-missing-graph": ("analyze nope.txt", "no such file: nope.txt"),
+    "validate-missing-graph": (
+        "validate nope.txt g.idx", "no such file: nope.txt"),
+    "validate-missing-index": (
+        "validate g.txt nope.idx", "no such file: nope.idx"),
+    "bench-missing-baseline": (
+        "bench fig8 --datasets GO --check-baseline none.json",
+        "no baseline at none.json — run with --save-baseline first"),
+    "serve-bench-cache-only-no-cache": (
+        "serve-bench --cache-only --no-cache",
+        "--cache-only and --no-cache exclude each other"),
+    "serve-bench-missing-graph": (
+        "serve-bench nope.txt", "no such file: nope.txt"),
+    "serve-bench-mixed-node-ratio": (
+        "serve-bench --vertices 60 --requests 10 --mode mixed --writes 5 "
+        "--node-ratio 1.5", "node_ratio must lie in [0, 1]"),
+    "serve-bench-mixed-insert-ratio": (
+        "serve-bench --vertices 60 --requests 10 --mode mixed --writes 5 "
+        "--insert-ratio 2.0", "insert_ratio must lie in [0, 1]"),
+    "scenario-run-unknown": (
+        "scenario run no-such-scenario",
+        f"'no-such-scenario' is neither a library scenario ({_SCENARIOS}) "
+        "nor a spec file"),
+    "incident-show-unknown": (
+        "incident show nope", "no incident bundle 'nope' under incidents"),
+    "incident-report-unknown": (
+        "incident report nope", "no incident bundle 'nope' under incidents"),
+    "fuzz-time-budget-0": (
+        "fuzz --time-budget 0", "--time-budget must be positive"),
+    "fuzz-replay-missing": (
+        "fuzz --replay missing.json", "no such file: missing.json"),
+    "trace-missing": ("trace nope.jsonl", "no such file: nope.jsonl"),
+    "trace-not-jsonl": ("trace bad.jsonl", _NOT_JSON),
+    "top-json-without-once": (
+        "top serve.jsonl --json", "--json needs --once"),
+    "top-openmetrics-without-once": (
+        "top serve.jsonl --openmetrics", "--openmetrics needs --once"),
+    "top-json-and-openmetrics": (
+        "top serve.jsonl --once --json --openmetrics",
+        "--openmetrics and --json are exclusive"),
+    "top-missing-slo": (
+        "top serve.jsonl --once --slo missing.json",
+        "no such file: missing.json"),
+    "top-bad-slo": (
+        "top serve.jsonl --once --slo bad_slo.json",
+        "bad SLO spec bad_slo.json: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)"),
+    "top-run-out-of-range": (
+        "top serve.jsonl --once --run 99",
+        "trace holds 1 serving run(s); --run 99 is out of range"),
+    "top-missing-trace": ("top nope.jsonl --once", "no such file: nope.jsonl"),
+    "top-not-jsonl": ("top bad.jsonl --once", _NOT_JSON),
+    "profile-missing": ("profile nope.jsonl", "no such file: nope.jsonl"),
+    "profile-not-jsonl": ("profile bad.jsonl", _NOT_JSON),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """Inputs for the exit-2 contract, built once per module."""
+    root = tmp_path_factory.mktemp("cli-contract")
+    g, idx, serve = root / "g.txt", root / "g.idx", root / "serve.jsonl"
+    assert main(["generate", str(g), "--vertices", "200", "--seed", "1"]) == 0
+    assert main(["build", str(g), "-o", str(idx)]) == 0
+    assert main(["serve-bench", "--vertices", "80", "--requests", "200",
+                 "--cache-only", "--trace-out", str(serve)]) == 0
+    (root / "bin.txt").write_bytes(b"0 1\n\xff\xfe 2\n")
+    (root / "bad.jsonl").write_text("not json\n")
+    (root / "bad_slo.json").write_text("{bad\n")
+    (root / "adir").mkdir()
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, message", list(_EXIT_2_CASES.values()), ids=list(_EXIT_2_CASES)
+)
+def test_exit_2_contract(argv, message, contract_dir, monkeypatch, capsys):
+    monkeypatch.chdir(contract_dir)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {message}"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags, message, status", [
+    (["--time-limit", "1e-12"],
+     "simulated time 0.0s exceeded the cut-off of 0.0s", "TimeLimitExceeded"),
+    (["--workers", "2"], "--workers only applies to --engine mp", "ReproError"),
+], ids=["time-limit", "usage-error"])
+def test_error_under_trace_out_still_reports_the_trace(
+    flags, message, status, tmp_path, graph_file, capsys
+):
+    import json
+
+    trace = tmp_path / "t.jsonl"
+    assert main(["build", str(graph_file), "-o", str(tmp_path / "x.idx"),
+                 *flags, "--trace-out", str(trace)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message}",
+        f"trace written to {trace}",
+    ]
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    (cli_span,) = [r for r in records if r["name"] == "cli.build"]
+    assert cli_span["status"] == status

@@ -258,6 +258,27 @@ def test_promote_to_ideal_rank_by_default():
     _assert_exact(dynamic)
 
 
+def test_apply_dispatches_every_op_kind():
+    g = random_digraph(12, 30, seed=4)
+    direct = DynamicReachabilityIndex(g)
+    applied = DynamicReachabilityIndex(g)
+    u, v = next((a, b) for a in range(12) for b in range(12)
+                if a != b and not g.has_edge(a, b))
+    x, y = next(iter(g.edges()))
+    assert applied.apply("insert", u, v) == direct.insert_edge(u, v) is True
+    assert applied.apply("delete", x, y) == direct.delete_edge(x, y) is True
+    assert applied.apply("add_node", -7, -7) == direct.add_node() == 12
+    assert applied.apply("delete_node", 3, 3) == direct.delete_node(3)
+    # A negative target rank means "the vertex's degree rank".
+    mover = next(w for w in direct.alive_vertices() if direct.drift(w) > 0)
+    assert applied.apply("promote", mover, -1) == direct.promote(mover) >= 0
+    assert list(applied.order.by_rank()) == list(direct.order.by_rank())
+    assert applied.snapshot() == direct.snapshot()
+    _assert_exact(applied)
+    with pytest.raises(ValueError, match="unknown update op 'rename'"):
+        applied.apply("rename", 0, 1)
+
+
 def test_promote_hubward_only():
     g = random_digraph(12, 30, seed=4)
     dynamic = DynamicReachabilityIndex(g)

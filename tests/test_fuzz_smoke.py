@@ -193,6 +193,20 @@ def test_oracle_crash_is_a_finding():
     assert failure.fingerprint == "condensed!RuntimeError"
 
 
+def test_dynamic_oracle_reports_unknown_op():
+    import dataclasses
+
+    from repro.fuzz.oracles import CaseContext, oracle_dynamic_vs_rebuild
+
+    case = generate_cases(seed=1, count=1)[0]
+    case = dataclasses.replace(
+        case, updates=(("rename", 0, 1), ("add_node", 0, 0))
+    )
+    assert oracle_dynamic_vs_rebuild(CaseContext(case)) == [
+        "update 0: unknown op 'rename'"
+    ]
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------

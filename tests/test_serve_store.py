@@ -144,3 +144,13 @@ def test_store_as_fallback_primary(graph, index):
     for s, t in random_pairs(graph.num_vertices, 50, seed=9):
         answer, _ = fallback.query_with_cost(s, t)
         assert answer == oracle.query(s, t)
+
+
+def test_label_accessors_read_static_and_dynamic_indexes(graph, index):
+    from repro.core.dynamic import DynamicReachabilityIndex
+    from repro.serve.store import in_labels_of, out_labels_of
+
+    dynamic = DynamicReachabilityIndex(graph)
+    for v in range(0, graph.num_vertices, 7):
+        assert list(out_labels_of(index, v)) == sorted(out_labels_of(dynamic, v))
+        assert list(in_labels_of(index, v)) == sorted(in_labels_of(dynamic, v))

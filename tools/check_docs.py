@@ -241,7 +241,6 @@ def check_file(path: Path, list_only: bool = False) -> FileReport:
     return report
 
 
-_ADD_PARSER_RE = re.compile(r"\bsub\.add_parser\(\s*\"([a-z0-9-]+)\"", re.S)
 _CLI_TABLE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|", re.M)
 
 
@@ -250,12 +249,15 @@ def check_cli_table(api_md: Path) -> list[Failure]:
 
     The table in the "Command line" section is the canonical CLI
     surface listing; this guard catches the recurring drift where a PR
-    adds a subcommand but not its row.
+    adds a subcommand but not its row.  The subcommand names come from
+    the parser itself, through ``repro.cli.subcommand_names``.
     """
-    cli_source = (REPO_ROOT / "src" / "repro" / "cli.py").read_text(
-        encoding="utf-8"
-    )
-    subcommands = set(_ADD_PARSER_RE.findall(cli_source))
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.cli import subcommand_names
+
+    subcommands = set(subcommand_names())
     documented = set(_CLI_TABLE_ROW_RE.findall(api_md.read_text(encoding="utf-8")))
     failures = []
     for name in sorted(subcommands - documented):
