@@ -16,24 +16,21 @@ well-defined throughout.
 
 Update algorithms
 -----------------
-*Insertion* ``(u, v)`` uses resumed trimmed BFSs: every hub
-``a ∈ L_in(u)`` resumes its forward BFS from ``v`` and every hub
-``b ∈ L_out(v)`` resumes its backward BFS from ``u``, with the
-order-respecting prune (block at ``w`` whenever a higher-order hub
-``h`` with ``a → h → w`` is already indexed).  This yields a *sound
-superset* of the exact index that still contains every exact entry; a
-targeted stale-entry sweep then removes newly dominated entries.  The
-sweep cannot remove a valid entry: its criterion (∃ higher-order
-``h ∈ L_out(a) ∩ L_in(w)``) only requires the witness entries to be
-*sound*, and any such witness certifies a real higher-order walk,
-which by Theorem 1 makes ``(a, w)`` invalid.
-
-*Deletion* ``(u, v)`` recomputes the backward label sets of every
-vertex that could reach ``u`` (forward side) or be reached from ``v``
-(backward side) — the only vertices whose Theorem 1 status can change —
-using the basic labeling method on the new graph.  When the affected
-set exceeds ``rebuild_fraction`` of the graph, a full rebuild is
-cheaper and is used instead.
+Every edge and node write goes through one **dirty-hub replay**.  By
+Theorem 1, ``x ∈ L_in(w)`` exactly when ``x`` is the highest-order
+vertex on all walks ``x → w``, so a write can move hub ``x``'s entries
+only if one of ``x``'s pruned BFSs (its forward or backward TOL round)
+crossed a changed edge (a *seed*: ``x`` holds the edge's tail and
+outranks its head, or the mirror image) or if an entry that the
+round's domination tests read flipped under it.  Dirty rounds are
+popped from a min-heap on rank; each is rerun exactly as in
+:func:`repro.core.tol.tol_index`, its old coverage is walked through
+the vertices that hold ``x``, and the symmetric difference is applied.
+Every flip enqueues the lower hubs' rounds that read the flipped
+entry, so by induction on rank order every round is exact once it is
+popped, and a round never enqueued is the same as before.  No write
+rebuilds; :attr:`DynamicReachabilityIndex.last_repair` counts the hubs
+replayed and vertices visited.
 
 *Node addition* appends a fresh vertex id at the **tail of the order**
 (lowest priority).  An isolated tail vertex provably costs nothing:
@@ -41,11 +38,12 @@ its TOL round reaches only itself, and no other round can reach it, so
 its labels are exactly ``{v}``/``{v}`` and every other label set is
 untouched.
 
-*Node deletion* removes every incident edge at once (one recompute,
-not one per edge) and leaves the id behind as an isolated **tombstone**
-whose labels are ``{v}``/``{v}`` — ids are never recycled, so shard
-maps, caches, and replicas keyed by vertex id stay valid.  Mutating a
-tombstone raises; querying one is permitted (it is simply isolated).
+*Node deletion* removes every incident edge at once (one replay seeded
+by all of them, not one per edge) and leaves the id behind as an
+isolated **tombstone** whose labels are ``{v}``/``{v}`` — ids are never
+recycled, so shard maps, caches, and replicas keyed by vertex id stay
+valid.  Mutating a tombstone raises; querying one is permitted (it is
+simply isolated).
 
 *Order upgrade* (:meth:`promote`) is the TOL butterfly rewrite: moving
 ``v`` from rank ``r_old`` up to ``r_new < r_old`` can only (a) *grow*
@@ -66,8 +64,10 @@ stale as the graph evolves and labels fatten".
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from repro.core.labels import ReachabilityIndex
 from repro.graph.digraph import DiGraph
@@ -78,6 +78,13 @@ from repro.graph.order import VertexOrder, degree_order
 #: and ``delete_node`` both payload slots carry the vertex id; for
 #: ``promote`` the payload is ``(vertex, new_rank)``.
 UPDATE_OPS = ("insert", "delete", "add_node", "delete_node", "promote")
+
+
+class RepairWork(NamedTuple):
+    """Work counted by one write's dirty-hub replay."""
+
+    hubs: int  # hubs with at least one TOL round rerun
+    visited: int  # vertices those rounds and old-coverage walks visited
 
 
 class DynamicReachabilityIndex:
@@ -92,12 +99,6 @@ class DynamicReachabilityIndex:
         order).  It changes only via :meth:`add_node` (tail append) and
         :meth:`promote` (hub-ward move); :attr:`order` always exposes
         the current one.
-    rebuild_fraction:
-        Deletion falls back to a full rebuild when the affected vertex
-        set exceeds this fraction of all vertices.  Per-vertex
-        recomputation costs several BFSs, so the break-even point is
-        low (default 10%); hub-dominated graphs, where most vertices
-        reach the deleted edge, effectively always rebuild on deletion.
     drift_threshold:
         When set, every applied edge update checks its endpoints'
         degree-rank drift (:meth:`drift`) and promotes a vertex whose
@@ -110,22 +111,18 @@ class DynamicReachabilityIndex:
         self,
         graph: DiGraph,
         order: VertexOrder | None = None,
-        rebuild_fraction: float = 0.1,
         drift_threshold: int | None = None,
     ):
         if order is None:
             order = degree_order(graph)
         if len(order) != graph.num_vertices:
             raise ValueError("order does not cover the graph's vertices")
-        if not 0.0 < rebuild_fraction <= 1.0:
-            raise ValueError("rebuild_fraction must be in (0, 1]")
         if drift_threshold is not None and drift_threshold < 1:
             raise ValueError("drift_threshold must be >= 1 (or None)")
         n = graph.num_vertices
         self._n = n
         self._rank = order.ranks
         self._order = order
-        self._rebuild_fraction = rebuild_fraction
         self._drift_threshold = drift_threshold
         self._alive = [True] * n
         self._out_adj: list[set[int]] = [set() for _ in range(n)]
@@ -137,6 +134,7 @@ class DynamicReachabilityIndex:
         self.in_labels: list[set[int]] = [set() for _ in range(n)]
         self.out_labels: list[set[int]] = [set() for _ in range(n)]
         self._listeners: list = []
+        self._last_repair = RepairWork(0, 0)
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -195,6 +193,13 @@ class DynamicReachabilityIndex:
             a, b = b, a
         return any(h in b for h in a)
 
+    @property
+    def last_repair(self) -> RepairWork:
+        """Counted work of the latest edge or node write: hubs replayed
+        and vertices visited (zero for :meth:`add_node`, which replays
+        nothing)."""
+        return self._last_repair
+
     def snapshot(self) -> ReachabilityIndex:
         """An immutable copy of the current (exact TOL) index."""
         return ReachabilityIndex.from_label_lists(self.in_labels, self.out_labels)
@@ -216,8 +221,8 @@ class DynamicReachabilityIndex:
 
         Listeners fire only when the update actually applied — e.g.
         inserting a present edge is a no-op and stays silent.  They run
-        only after the label sets are consistent again (this holds on
-        *every* path, including the deletion rebuild fallback), so a
+        only after the label sets are consistent again (every write
+        settles its replay before notifying), so a
         listener may query the index or take a snapshot.  This is the
         invalidation hook the serving layer's
         :class:`~repro.serve.QueryCache` and the replication op log
@@ -257,7 +262,7 @@ class DynamicReachabilityIndex:
         raise ValueError(f"unknown update op {op!r}")
 
     # ------------------------------------------------------------------
-    # Insertion
+    # Edge updates
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert ``(u, v)``; returns False if it was already present.
@@ -270,127 +275,141 @@ class DynamicReachabilityIndex:
             raise ValueError("self-loops do not affect reachability")
         if v in self._out_adj[u]:
             return False
+        seeds = self._seeds(u, v)
         self._out_adj[u].add(v)
         self._in_adj[v].add(u)
-
-        # Resume every hub that covers into u forward from v, and every
-        # hub that covers out of v backward from u.
-        for a in sorted(self.in_labels[u], key=lambda x: self._rank[x]):
-            self._resume(a, v, forward=True)
-        for b in sorted(self.out_labels[v], key=lambda x: self._rank[x]):
-            self._resume(b, u, forward=False)
-        self._sweep_stale(u, v)
+        self._replay(seeds)
         self._notify("insert", u, v)
         self._check_drift(u, v)
         return True
 
-    def _resume(self, hub: int, root: int, forward: bool) -> None:
-        """Resume ``hub``'s (trimmed, pruned) BFS from ``root``."""
-        rank = self._rank
-        hub_rank = rank[hub]
-        adjacency = self._out_adj if forward else self._in_adj
-        labels = self.in_labels if forward else self.out_labels
-        reverse_labels = self.out_labels if forward else self.in_labels
-        if rank[root] < hub_rank or self._dominated(hub, root, labels, reverse_labels):
-            return
-        visited = {root}
-        queue = deque([root])
-        labels[root].add(hub)
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x in visited:
-                    continue
-                visited.add(x)
-                if rank[x] < hub_rank:
-                    continue  # higher-order vertex blocks the branch
-                if x == hub or self._dominated(hub, x, labels, reverse_labels):
-                    continue
-                labels[x].add(hub)
-                queue.append(x)
-
-    def _dominated(self, hub, w, labels, reverse_labels) -> bool:
-        """Is there an indexed higher-order hub ``h`` with
-        ``hub → h → w`` (forward sense)?  Sound witnesses suffice."""
-        hub_rank = self._rank[hub]
-        a, b = reverse_labels[hub], labels[w]
-        if len(b) < len(a):
-            a, b = b, a
-        return any(self._rank[h] < hub_rank and h in b for h in a)
-
-    def _sweep_stale(self, u: int, v: int) -> None:
-        """Remove entries invalidated by new walks through ``(u, v)``.
-
-        Candidates are pairs ``(a, w)`` with ``a`` reaching ``u`` and
-        ``w`` reachable from ``v`` — the only pairs that gained walks.
-        """
-        reaches_from_v = self._plain_bfs(v, self._out_adj)
-        reaches_to_u = self._plain_bfs(u, self._in_adj)
-        for w in reaches_from_v:
-            for a in [x for x in self.in_labels[w] if x in reaches_to_u or x == w]:
-                if self._dominated(a, w, self.in_labels, self.out_labels):
-                    self.in_labels[w].discard(a)
-        for w in reaches_to_u:
-            for b in [x for x in self.out_labels[w] if x in reaches_from_v or x == w]:
-                if self._dominated(b, w, self.out_labels, self.in_labels):
-                    self.out_labels[w].discard(b)
-
-    # ------------------------------------------------------------------
-    # Deletion
-    # ------------------------------------------------------------------
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete ``(u, v)``; returns False if it was not present."""
         self._check_vertex(u)
         self._check_vertex(v)
         if v not in self._out_adj[u]:
             return False
-        # Affected sources are computed on the OLD graph (vertices that
-        # could route a walk through the edge).
-        affected_fwd = self._plain_bfs(u, self._in_adj)   # everyone reaching u
-        affected_bwd = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+        seeds = self._seeds(u, v)
         self._out_adj[u].discard(v)
         self._in_adj[v].discard(u)
-        self._repair_after_removal(affected_fwd, affected_bwd)
-        # Listeners fire only here, on the single exit where both
-        # repair paths (per-vertex recompute and rebuild fallback) have
-        # settled — a listener must never observe a stale snapshot.
+        self._replay(seeds, [(u, v)])
         self._notify("delete", u, v)
         self._check_drift(u, v)
         return True
 
-    def _repair_after_removal(
-        self, affected_fwd: set[int], affected_bwd: set[int]
-    ) -> None:
-        """Restore exactness after edges vanished, given the affected
-        vertex sets (computed on the pre-removal graph)."""
-        threshold = self._rebuild_fraction * self._n
-        if len(affected_fwd) + len(affected_bwd) > threshold:
-            self._rebuild()
-            return
-        for a in affected_fwd:
-            self._recompute_backward(a, forward=True)
-        for b in affected_bwd:
-            self._recompute_backward(b, forward=False)
+    # ------------------------------------------------------------------
+    # Dirty-hub replay (the one repair path; see docs/dynamic.md)
+    # ------------------------------------------------------------------
+    def _seeds(self, a: int, b: int) -> set[tuple[int, int]]:
+        """The rounds that cross the edge ``(a, b)``, as ``(hub,
+        direction)`` pairs (0 forward, 1 backward): the forward rounds
+        of holders of ``a`` and the backward rounds of holders of ``b``
+        that may step over it.  Read on the labels *before* the
+        adjacency changes."""
+        rank = self._rank
+        return {(x, 0) for x in self.in_labels[a] if rank[b] > rank[x]} | {
+            (x, 1) for x in self.out_labels[b] if rank[a] > rank[x]
+        }
 
-    def _recompute_backward(self, hub: int, forward: bool) -> None:
-        """Recompute ``L⁻`` of ``hub`` exactly (Theorem 3) and patch the
-        label sets accordingly."""
-        adjacency = self._out_adj if forward else self._in_adj
-        labels = self.in_labels if forward else self.out_labels
-        low, high = self._trimmed_bfs(hub, adjacency)
-        eliminated: set[int] = set()
-        for blocker in high:
-            eliminated |= self._plain_bfs(blocker, adjacency)
-        backward = low - eliminated
-        for w in low | eliminated:
-            if w in backward:
-                labels[w].add(hub)
-            else:
-                labels[w].discard(hub)
-        # Entries outside today's reachable set are unsound: drop them.
-        for w in range(self._n):
-            if hub in labels[w] and w not in backward:
-                labels[w].discard(hub)
+    def _replay(
+        self,
+        seeds: set[tuple[int, int]],
+        removed: Iterable[tuple[int, int]] = (),
+    ) -> None:
+        """Rerun every dirty round, highest-order hub first, and apply
+        the difference between its old and new coverage.
+
+        A round is dirty when it is a seed or when an entry it tested
+        flipped: a flip of ``x ∈ L_in(w)`` dirties both rounds of ``w``
+        (they test ``L_in(w)`` at the root and as the backward source)
+        and the forward round of every ``y ∈ L_in(p)``, ``p → w``, with
+        ``x ∈ L_out(y)`` (it tests ``x`` at ``w``); ``L_out`` flips
+        mirror this.  Dependents always rank below the hub that flipped,
+        so each round is replayed at most once, after every hub above
+        it has settled.
+        """
+        rank = self._rank
+        gone_out: dict[int, list[int]] = {}
+        gone_in: dict[int, list[int]] = {}
+        for a, b in removed:
+            gone_out.setdefault(a, []).append(b)
+            gone_in.setdefault(b, []).append(a)
+        directions = (
+            (self._out_adj, self._in_adj, gone_out, self.in_labels, self.out_labels),
+            (self._in_adj, self._out_adj, gone_in, self.out_labels, self.in_labels),
+        )
+        queued = set(seeds)
+        heap = [(rank[x], d, x) for x, d in queued]
+        heapq.heapify(heap)
+        visited = 0
+        while heap:
+            _, d, x = heapq.heappop(heap)
+            adjacency, back, gone, labels, reverse = directions[d]
+            old = self._holders(x, adjacency, gone, labels)
+            new, seen = self._pruned_bfs(x, adjacency, labels, reverse)
+            visited += len(old) + seen
+            for w in old ^ new:
+                labels[w] ^= {x}
+                dependents = [(w, 0), (w, 1)]
+                dependents += [
+                    (y, d) for p in back[w] for y in labels[p] if x in reverse[y]
+                ]
+                for y, e in dependents:
+                    if (y, e) not in queued:
+                        queued.add((y, e))
+                        heapq.heappush(heap, (rank[y], e, y))
+        self._last_repair = RepairWork(len({x for x, _ in queued}), visited)
+
+    def _holders(
+        self,
+        x: int,
+        adjacency: list[set[int]],
+        gone: dict[int, list[int]],
+        labels: list[set[int]],
+    ) -> set[int]:
+        """Every vertex holding ``x`` before its replay: the old pruned
+        BFS tree, walked from ``x`` through holders over the old edges
+        (today's plus the removed ones) — no scan of all vertices."""
+        if x not in labels[x]:
+            return set()  # x was dominated at itself: it labels nothing
+        held = {x}
+        queue = [x]
+        for w in queue:
+            for y in chain(adjacency[w], gone.get(w, ())):
+                if y not in held and x in labels[y]:
+                    held.add(y)
+                    queue.append(y)
+        return held
+
+    def _pruned_bfs(
+        self,
+        x: int,
+        adjacency: list[set[int]],
+        labels: list[set[int]],
+        reverse_labels: list[set[int]],
+    ) -> tuple[set[int], int]:
+        """One direction of ``x``'s TOL round, as in
+        ``tol._label_one_direction``: the vertices ``x`` labels under
+        the current graph and higher hubs, and how many it visited.
+
+        Only strictly higher hubs count in the domination test, and
+        expansion stops at a dominated vertex.
+        """
+        rank = self._rank
+        x_rank = rank[x]
+        higher = {h for h in reverse_labels[x] if rank[h] < x_rank}
+        covered = set()
+        seen = {x}
+        queue = [x]
+        for w in queue:
+            if not higher.isdisjoint(labels[w]):
+                continue  # a higher hub h has x -> h -> w
+            covered.add(w)
+            for y in adjacency[w]:
+                if y not in seen and rank[y] > x_rank:
+                    seen.add(y)
+                    queue.append(y)
+        return covered, len(seen)
 
     # ------------------------------------------------------------------
     # Node-level updates
@@ -413,6 +432,7 @@ class DynamicReachabilityIndex:
         self.out_labels.append({v})
         self._order = VertexOrder(list(self._order.by_rank()) + [v])
         self._rank = self._order.ranks
+        self._last_repair = RepairWork(0, 0)
         self._notify("add_node", v, v)
         return v
 
@@ -428,11 +448,11 @@ class DynamicReachabilityIndex:
         notification, not one per removed edge.
         """
         self._check_vertex(v)
-        # Affected sets on the OLD graph: one repair pass covers every
-        # incident edge at once (each edge's affected set is contained
-        # in these two BFS cones).
-        affected_fwd = self._plain_bfs(v, self._in_adj)   # everyone reaching v
-        affected_bwd = self._plain_bfs(v, self._out_adj)  # everyone v reaches
+        # One replay covers every incident edge; v's own rounds are
+        # seeded too, since they shrink to {v}.
+        removed = [(v, x) for x in self._out_adj[v]]
+        removed += [(x, v) for x in self._in_adj[v]]
+        seeds = {(v, 0), (v, 1)}.union(*(self._seeds(a, b) for a, b in removed))
         for x in self._out_adj[v]:
             self._in_adj[x].discard(v)
         for x in self._in_adj[v]:
@@ -440,7 +460,7 @@ class DynamicReachabilityIndex:
         self._out_adj[v].clear()
         self._in_adj[v].clear()
         self._alive[v] = False
-        self._repair_after_removal(affected_fwd, affected_bwd)
+        self._replay(seeds, removed)
         self._notify("delete_node", v, v)
         return True
 
@@ -483,8 +503,12 @@ class DynamicReachabilityIndex:
         # BFS pair is exact here because every domination witness it
         # consults involves hubs still above v, whose entries are
         # unchanged by the move.
-        self._resume(v, v, forward=True)
-        self._resume(v, v, forward=False)
+        for adjacency, labels, reverse in (
+            (self._out_adj, self.in_labels, self.out_labels),
+            (self._in_adj, self.out_labels, self.in_labels),
+        ):
+            for w in self._pruned_bfs(v, adjacency, labels, reverse)[0]:
+                labels[w].add(v)
 
         # Shrink side: only entries (h, w) with h in the band and
         # h → v → w can have died, and for each the exact index holds a
@@ -502,6 +526,15 @@ class DynamicReachabilityIndex:
                     self.out_labels[w].discard(b)
         self._notify("promote", v, new_rank)
         return new_rank
+
+    def _dominated(self, hub, w, labels, reverse_labels) -> bool:
+        """Is there an indexed higher-order hub ``h`` with
+        ``hub → h → w`` (forward sense)?  Sound witnesses suffice."""
+        hub_rank = self._rank[hub]
+        a, b = reverse_labels[hub], labels[w]
+        if len(b) < len(a):
+            a, b = b, a
+        return any(self._rank[h] < hub_rank and h in b for h in a)
 
     def drift(self, v: int) -> int:
         """How many positions ``v``'s frozen rank lags its degree rank.
@@ -557,28 +590,8 @@ class DynamicReachabilityIndex:
                     queue.append(x)
         return visited
 
-    def _trimmed_bfs(
-        self, source: int, adjacency: list[set[int]]
-    ) -> tuple[set[int], set[int]]:
-        rank = self._rank
-        source_rank = rank[source]
-        low = {source}
-        high: set[int] = set()
-        queue = deque([source])
-        while queue:
-            w = queue.popleft()
-            for x in adjacency[w]:
-                if x in low or x in high:
-                    continue
-                if rank[x] > source_rank:
-                    low.add(x)
-                    queue.append(x)
-                else:
-                    high.add(x)
-        return low, high
-
     def _rebuild(self) -> None:
-        """Recompute every label from scratch under the current order."""
+        """Compute every label from scratch (construction only)."""
         from repro.core.tol import tol_index
 
         index = tol_index(self.current_graph(), self._order)

@@ -16,9 +16,9 @@ leader's listener hooks — automatically invalidate the
 :class:`~repro.serve.replica.BoundedStalenessReplicator` op log.
 
 Costing: a write's simulated seconds are the label-maintenance work
-estimate — the endpoint label sets the resumed BFSs start from, times a
-write-amplification factor covering the sweep — not the exact
-maintenance cost, which would require running it twice.  The estimate
+estimate — the endpoint label sets the replay's seed hubs come from,
+times a write-amplification factor covering the dependent hubs — not
+the counted repair work (``leader.last_repair``).  The estimate
 only shapes the simulated clock; correctness never depends on it.
 """
 
@@ -33,9 +33,9 @@ from repro.telemetry import trace_event
 #: treats ``v`` as the target rank, negative meaning "degree rank").
 MUTATION_OPS = ("insert", "delete", "add_node", "delete_node", "promote")
 
-#: Maintenance touches roughly this many labels per seed-label entry
-#: (resume BFS + stale sweep); calibrated against the direct-path
-#: scenario runner's observed op costs.
+#: Maintenance touches roughly this many labels per seed-label entry;
+#: calibrated against the direct-path scenario runner's observed op
+#: costs (kept so the committed baselines stay bit-identical).
 WRITE_AMPLIFICATION = 8.0
 
 
@@ -118,7 +118,7 @@ class MutationBackend:
         if op == "add_node":
             leader.add_node()
             return "applied", self._t_op * WRITE_AMPLIFICATION
-        # Seed-label estimate: the hubs whose BFSs the update resumes.
+        # Seed-label estimate: the hubs the update's replay starts from.
         if op in ("insert", "delete"):
             leader._check_vertex(u)
             leader._check_vertex(v)

@@ -119,9 +119,9 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
     full rebuild at every intermediate state, not just round-trip back
     to the original index.
 
-    Insertion and deletion take different code paths (resumed BFS vs.
-    backward recomputation); the mid-point equality is what catches a
-    deletion that leaves stale entries an insertion silently re-covers.
+    Both go through the dirty-hub replay; the mid-point equality is
+    what catches a deletion that leaves stale entries an insertion
+    silently re-covers.
     """
     from repro.fuzz.cases import family_graph
 
@@ -137,9 +137,10 @@ def test_delete_then_reinsert_same_edge_matches_rebuild(family):
 
 
 def test_rebuild_threshold_path():
-    """A tiny rebuild_fraction forces the full-rebuild branch."""
+    """A delete on a dense random graph, where every ancestor/descendant
+    cone is most of the graph, stays exact without a rebuild."""
     g = random_digraph(25, 80, seed=3)
-    dynamic = DynamicReachabilityIndex(g, rebuild_fraction=1e-6)
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g))
     u, v = next(iter(g.edges()))
     dynamic.delete_edge(u, v)
     _assert_exact(dynamic)
@@ -149,8 +150,6 @@ def test_invalid_constructor_arguments():
     g = DiGraph(3, [])
     with pytest.raises(ValueError):
         DynamicReachabilityIndex(g, VertexOrder([0, 1]))
-    with pytest.raises(ValueError):
-        DynamicReachabilityIndex(g, rebuild_fraction=0.0)
 
 
 def test_edges_and_has_edge_views():
@@ -160,6 +159,94 @@ def test_edges_and_has_edge_views():
     dynamic.delete_edge(0, 1)
     assert not dynamic.has_edge(0, 1)
     assert list(dynamic.edges()) == [(1, 2)]
+
+
+# ----------------------------------------------------------------------
+# Dirty-hub replay: every write repairs in place, never rebuilds
+# ----------------------------------------------------------------------
+def _no_rebuild(dynamic: DynamicReachabilityIndex) -> DynamicReachabilityIndex:
+    def rebuild():
+        raise AssertionError("a write fell back to a full rebuild")
+
+    dynamic._rebuild = rebuild
+    return dynamic
+
+
+@pytest.mark.parametrize("family", ["web", "social", "citation"])
+def test_mixed_stream_replays_exactly_without_rebuild(family):
+    from repro.graph.generators import citation_graph, social_graph, web_graph
+    from repro.workloads.updates import mixed_update_stream
+
+    make = {"web": web_graph, "social": social_graph, "citation": citation_graph}
+    g = make[family](200, seed=5)
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g))
+    for op, u, v in mixed_update_stream(g, 60, node_ratio=0.2, seed=5):
+        dynamic.apply(op, u, v)
+        _assert_exact(dynamic)
+
+
+def test_delete_lets_a_lower_hub_gain_what_its_dominator_lost():
+    # 1 reaches 3 through 2, but 1 -> 0 -> 3 lets hub 0 cover it.
+    g = DiGraph(4, [(1, 0), (0, 3), (1, 2), (2, 3)])
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g, VertexOrder([0, 1, 2, 3])))
+    assert 1 not in dynamic.in_labels[3]
+    dynamic.delete_edge(0, 3)  # seeds hub 0 only; hub 1 is its dependent
+    assert 1 in dynamic.in_labels[3]
+    _assert_exact(dynamic)
+
+
+def test_insert_makes_lower_hub_entries_dominated():
+    g = DiGraph(3, [(1, 2), (0, 2)])
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g, VertexOrder([0, 1, 2])))
+    assert 1 in dynamic.in_labels[2]
+    dynamic.insert_edge(1, 0)  # now 1 -> 0 -> 2 routes through hub 0
+    assert 1 not in dynamic.in_labels[2]
+    _assert_exact(dynamic)
+
+
+def test_delete_breaking_cycle_revives_self_dominated_hub():
+    g = DiGraph(3, [(0, 1), (1, 0), (1, 2)])
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g, VertexOrder([0, 1, 2])))
+    assert 1 not in dynamic.in_labels[1]  # dominated at itself by hub 0
+    dynamic.delete_edge(1, 0)
+    assert 1 in dynamic.in_labels[1]
+    assert 1 in dynamic.in_labels[2]
+    _assert_exact(dynamic)
+
+
+def test_delete_node_of_a_cycle_member():
+    g = DiGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 1)])
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g, VertexOrder([2, 0, 1, 3, 4])))
+    assert dynamic.delete_node(1)
+    assert dynamic.in_labels[1] == dynamic.out_labels[1] == {1}
+    assert not dynamic.query(0, 2)
+    _assert_exact(dynamic)
+
+
+def test_last_repair_stays_inside_a_two_vertex_component(monkeypatch):
+    g = random_digraph(30, 90, seed=11)
+    g = DiGraph(32, list(g.edges()))  # 30 and 31 form their own component
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g))
+    assert dynamic.last_repair == (0, 0)
+    replayed = []
+    pruned_bfs = DynamicReachabilityIndex._pruned_bfs
+
+    def spy(self, x, *args):
+        replayed.append(x)
+        return pruned_bfs(self, x, *args)
+
+    monkeypatch.setattr(DynamicReachabilityIndex, "_pruned_bfs", spy)
+    for write in (lambda: dynamic.insert_edge(30, 31),
+                  lambda: dynamic.delete_edge(30, 31)):
+        replayed.clear()
+        write()
+        assert set(replayed) <= {30, 31}
+        assert 1 <= dynamic.last_repair.hubs <= 2
+        # hubs x directions x (old-coverage walk + new round) x vertices
+        assert dynamic.last_repair.visited <= 2 * 2 * 2 * 2
+        _assert_exact(dynamic)
+    dynamic.add_node()
+    assert dynamic.last_repair == (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +445,7 @@ def test_listeners_see_consistent_index_on_every_path():
     listener = _ConsistencyListener(dynamic)
     dynamic.subscribe(listener)
     dynamic.insert_edge(2, 17)
-    dynamic.delete_edge(2, 17)  # per-vertex recompute path
+    dynamic.delete_edge(2, 17)
     dynamic.add_node()
     dynamic.insert_edge(20, 0)
     dynamic.promote(19)
@@ -369,11 +456,11 @@ def test_listeners_see_consistent_index_on_every_path():
 
 def test_listener_consistent_on_deletion_rebuild_fallback():
     g = random_digraph(18, 50, seed=8)
-    dynamic = DynamicReachabilityIndex(g, rebuild_fraction=1e-6)
+    dynamic = _no_rebuild(DynamicReachabilityIndex(g))
     listener = _ConsistencyListener(dynamic)
     dynamic.subscribe(listener)
     u, v = next(iter(g.edges()))
-    assert dynamic.delete_edge(u, v)  # forces the full-rebuild branch
+    assert dynamic.delete_edge(u, v)
     assert listener.events == [("delete", u, v)]
 
 
